@@ -46,32 +46,6 @@ struct SizeRow {
   std::vector<LossRow> rows;
 };
 
-// Dependency-ordered deploy: derived leaf units bind to operators of
-// already-deployed queries, so sweep to a fixpoint (same idiom as the
-// chaos harness's post-churn delivery check).
-void deploy_all(engine::Simulation& sim, const engine::Middleware& mw,
-                const std::vector<engine::Middleware::ActiveView>& views) {
-  std::vector<bool> done(views.size(), false);
-  std::size_t remaining = views.size();
-  bool progress = true;
-  while (remaining > 0 && progress) {
-    progress = false;
-    for (std::size_t i = 0; i < views.size(); ++i) {
-      if (done[i]) continue;
-      try {
-        sim.deploy(*views[i].deployment,
-                   query::RateModel(mw.catalog(), *views[i].query));
-        done[i] = true;
-        --remaining;
-        progress = true;
-      } catch (const CheckError&) {
-        // Provider not deployed yet; retry next sweep.
-      }
-    }
-  }
-  IFLOW_CHECK_MSG(remaining == 0, "reuse chain failed to deploy");
-}
-
 SizeRow measure(int size, const std::vector<double>& loss_rates) {
   Prng net_prng(11 + static_cast<std::uint64_t>(size));
   net::Network base = net::make_transit_stub(net::scale_to(size), net_prng);
@@ -95,7 +69,6 @@ SizeRow measure(int size, const std::vector<double>& loss_rates) {
                         engine::Algorithm::kTopDown, /*seed=*/13);
   mw.workspace().set_threads(1);
   for (const query::Query& q : wl.queries) mw.deploy(q);
-  const std::vector<engine::Middleware::ActiveView> views = mw.active_views();
 
   engine::EngineConfig ec;
   ec.duration_s = kDurationS;
@@ -114,13 +87,12 @@ SizeRow measure(int size, const std::vector<double>& loss_rates) {
     for (const net::Link& l : base.links()) net.set_link_loss(l.a, l.b, loss);
     const net::RoutingTables rt = net::RoutingTables::build(net);
     engine::Simulation sim(net, rt, mw.catalog(), ec, /*seed=*/19);
-    deploy_all(sim, mw, views);
+    IFLOW_CHECK_MSG(mw.deploy_actives(sim), "reuse chain failed to deploy");
     sim.run();
 
     LossRow r;
     r.loss = loss;
-    for (const engine::Middleware::ActiveView& v : views) {
-      const engine::DeliveryStats ds = sim.delivery_stats(v.query->id);
+    for (const auto& [qid, ds] : mw.collect_delivery_stats(sim)) {
       r.delivered += ds.delivered;
       r.lost += ds.lost;
       r.retransmits += ds.retransmits;

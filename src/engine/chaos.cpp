@@ -6,13 +6,52 @@
 #include <sstream>
 #include <unordered_set>
 
-#include "verify/validator.h"
+#include "engine/harness.h"
 
 namespace iflow::engine {
 
 namespace {
+
 constexpr double kEps = 1e-9;
+
+using LinkPair = std::pair<net::NodeId, net::NodeId>;
+
+LinkPair link_pair(net::NodeId a, net::NodeId b) {
+  return {std::min(a, b), std::max(a, b)};
 }
+
+/// Distinct endpoint pairs: Network::fail_link downs every parallel (a, b)
+/// link at once, so injectors model link state per pair.
+std::vector<LinkPair> distinct_link_pairs(const net::Network& net) {
+  std::vector<LinkPair> out;
+  std::unordered_set<std::uint64_t> seen;
+  for (const net::Link& l : net.links()) {
+    const LinkPair p = link_pair(l.a, l.b);
+    if (seen.insert((static_cast<std::uint64_t>(p.first) << 32) | p.second)
+            .second) {
+      out.push_back(p);
+    }
+  }
+  return out;
+}
+
+/// Script applicability: a fault or degradation must hit an element not
+/// yet in `set`, a restore or clear one that is. A malformed script is a
+/// harness bug, not a system-under-test failure.
+template <typename T>
+void track_add(std::vector<T>& set, const T& x, const char* what) {
+  IFLOW_CHECK_MSG(std::find(set.begin(), set.end(), x) == set.end(), what);
+  set.push_back(x);
+}
+
+template <typename T>
+void track_remove(std::vector<T>& set, const T& x, const char* what) {
+  const auto it = std::find(set.begin(), set.end(), x);
+  IFLOW_CHECK_MSG(it != set.end(), what);
+  set.erase(it);
+}
+
+}  // namespace
 
 const char* to_string(ChaosEventKind k) {
   switch (k) {
@@ -36,17 +75,11 @@ const char* to_string(ChaosEventKind k) {
 FaultInjector::FaultInjector(const net::Network& net,
                              const query::Catalog& catalog,
                              const ChaosConfig& cfg, std::uint64_t seed)
-    : cfg_(cfg), prng_(seed), node_count_(net.node_count()) {
+    : cfg_(cfg),
+      prng_(seed),
+      node_count_(net.node_count()),
+      link_pairs_(distinct_link_pairs(net)) {
   IFLOW_CHECK(node_count_ >= 2);
-  // Distinct endpoint pairs: Network::fail_link downs every parallel (a, b)
-  // link at once, so the injector models link state per pair.
-  std::unordered_set<std::uint64_t> seen;
-  for (const net::Link& l : net.links()) {
-    const net::NodeId a = std::min(l.a, l.b);
-    const net::NodeId b = std::max(l.a, l.b);
-    const std::uint64_t key = (static_cast<std::uint64_t>(a) << 32) | b;
-    if (seen.insert(key).second) link_pairs_.emplace_back(a, b);
-  }
   for (query::StreamId s = 0;
        s < static_cast<query::StreamId>(catalog.stream_count()); ++s) {
     streams_.push_back(s);
@@ -243,48 +276,6 @@ ChaosEvent FaultInjector::next() {
 
 namespace {
 
-/// Validates every active deployment. Freshly re-planned queries (the ids
-/// in `replanned`) get the full semantic + cost pass; untouched ones get
-/// the structural + placement pass only (their recorded unit rates may
-/// legitimately predate a rate spike).
-std::size_t validate_actives(Middleware& mw,
-                             const std::unordered_set<query::QueryId>& replanned,
-                             std::string* first_detail) {
-  opt::OptimizerEnv env = mw.planning_env();
-  const std::vector<net::NodeId> excluded = mw.excluded_hosts();
-  std::size_t violations = 0;
-  for (const Middleware::ActiveView& v : mw.active_views()) {
-    verify::ValidateOptions vopts;
-    // No active deployment may keep an operator or derived unit on a
-    // failed, crashed or load-shed host (kExcludedHost).
-    vopts.excluded_hosts = &excluded;
-    if (replanned.count(v.query->id) > 0) {
-      vopts.query = v.query;
-      vopts.planned_cost = v.planned_cost;
-    }
-    const std::vector<verify::Violation> found =
-        verify::validate(*v.deployment, env, vopts);
-    if (!found.empty() && first_detail != nullptr && first_detail->empty()) {
-      std::ostringstream os;
-      os << "query " << v.query->id << ": " << verify::describe(found);
-      *first_detail = os.str();
-    }
-    violations += found.size();
-  }
-  return violations;
-}
-
-std::unordered_set<query::QueryId> replanned_ids(
-    const std::vector<Redeployment>& reds) {
-  std::unordered_set<query::QueryId> out;
-  for (const Redeployment& r : reds) {
-    if (r.outcome == Outcome::kMigrated || r.outcome == Outcome::kResumed) {
-      out.insert(r.query);
-    }
-  }
-  return out;
-}
-
 void digest_line(std::ostringstream& os, std::size_t step,
                  const ChaosEvent& e, const Middleware& mw,
                  double total_cost, std::size_t violations) {
@@ -313,145 +304,75 @@ void digest_line(std::ostringstream& os, std::size_t step,
      << mw.suspended_queries() << " viol " << violations << '\n';
 }
 
-/// Where run_impl draws its events from: the seeded FaultInjector
-/// (run_churn) or a fixed scenario script (run_scripted). Both track what
-/// is currently down so the restoration sweep knows what to bring back.
-class EventSource {
- public:
-  virtual ~EventSource() = default;
-  virtual int count() const = 0;
-  virtual ChaosEvent next() = 0;
-  virtual const std::vector<net::NodeId>& down_nodes() const = 0;
-  virtual const std::vector<std::pair<net::NodeId, net::NodeId>>& down_links()
-      const = 0;
-};
-
-class InjectorSource final : public EventSource {
- public:
-  InjectorSource(const net::Network& net, const query::Catalog& catalog,
-                 const ChaosConfig& cfg, std::uint64_t seed)
-      : events_(cfg.events), inj_(net, catalog, cfg, seed) {}
-  int count() const override { return events_; }
-  ChaosEvent next() override { return inj_.next(); }
-  const std::vector<net::NodeId>& down_nodes() const override {
-    return inj_.down_nodes();
-  }
-  const std::vector<std::pair<net::NodeId, net::NodeId>>& down_links()
-      const override {
-    return inj_.down_links();
-  }
-
- private:
-  int events_;
-  FaultInjector inj_;
-};
-
-/// Replays a fixed script verbatim, checking applicability as it goes: the
-/// scenario generator must only script faults against up targets and
-/// restores against down ones (a malformed script is a harness bug, not a
-/// system-under-test failure).
-class ScriptSource final : public EventSource {
+/// Replays a script verbatim, checking applicability as it goes and
+/// tracking what is down or degraded so the restoration sweep knows what to
+/// bring back. Scripts come from the scenario generator or are drawn from
+/// the FaultInjector; both only fault up targets and restore down ones.
+class ScriptSource {
  public:
   explicit ScriptSource(const std::vector<ChaosEvent>& script)
       : script_(script) {}
-  int count() const override { return static_cast<int>(script_.size()); }
-  ChaosEvent next() override {
+  const ChaosEvent& next() {
     IFLOW_CHECK(i_ < script_.size());
-    const ChaosEvent e = script_[i_++];
-    const auto node_it = [&] {
-      return std::find(down_nodes_.begin(), down_nodes_.end(), e.a);
-    };
-    const auto link_it = [&] {
-      const auto pair = std::make_pair(std::min(e.a, e.b), std::max(e.a, e.b));
-      return std::find(down_links_.begin(), down_links_.end(), pair);
-    };
+    const ChaosEvent& e = script_[i_++];
     switch (e.kind) {
       case ChaosEventKind::kCrashNode:
       case ChaosEventKind::kFailNode:
-        IFLOW_CHECK_MSG(node_it() == down_nodes_.end(),
-                        "script double-faults a node");
-        down_nodes_.push_back(e.a);
+        track_add(down_nodes_, e.a, "script double-faults a node");
         break;
-      case ChaosEventKind::kRestoreNode: {
-        const auto it = node_it();
-        IFLOW_CHECK_MSG(it != down_nodes_.end(),
-                        "script restores an up node");
-        down_nodes_.erase(it);
+      case ChaosEventKind::kRestoreNode:
+        track_remove(down_nodes_, e.a, "script restores an up node");
         break;
-      }
       case ChaosEventKind::kFailLink:
-        IFLOW_CHECK_MSG(link_it() == down_links_.end(),
-                        "script double-fails a link pair");
-        down_links_.emplace_back(std::min(e.a, e.b), std::max(e.a, e.b));
+        track_add(down_links_, link_pair(e.a, e.b),
+                  "script double-fails a link pair");
         break;
-      case ChaosEventKind::kRestoreLink: {
-        const auto it = link_it();
-        IFLOW_CHECK_MSG(it != down_links_.end(),
-                        "script restores an up link pair");
-        down_links_.erase(it);
+      case ChaosEventKind::kRestoreLink:
+        track_remove(down_links_, link_pair(e.a, e.b),
+                     "script restores an up link pair");
         break;
-      }
       case ChaosEventKind::kDegradeNode:
-        IFLOW_CHECK_MSG(std::find(degraded_nodes_.begin(),
-                                  degraded_nodes_.end(),
-                                  e.a) == degraded_nodes_.end(),
-                        "script double-degrades a node");
-        degraded_nodes_.push_back(e.a);
+        track_add(degraded_nodes_, e.a, "script double-degrades a node");
         break;
-      case ChaosEventKind::kClearNode: {
-        const auto it = std::find(degraded_nodes_.begin(),
-                                  degraded_nodes_.end(), e.a);
-        IFLOW_CHECK_MSG(it != degraded_nodes_.end(),
-                        "script clears an undegraded node");
-        degraded_nodes_.erase(it);
+      case ChaosEventKind::kClearNode:
+        track_remove(degraded_nodes_, e.a, "script clears an undegraded node");
         break;
-      }
-      case ChaosEventKind::kDegradeLink: {
-        const auto pair =
-            std::make_pair(std::min(e.a, e.b), std::max(e.a, e.b));
-        IFLOW_CHECK_MSG(std::find(degraded_links_.begin(),
-                                  degraded_links_.end(),
-                                  pair) == degraded_links_.end(),
-                        "script double-degrades a link pair");
-        degraded_links_.push_back(pair);
+      case ChaosEventKind::kDegradeLink:
+        track_add(degraded_links_, link_pair(e.a, e.b),
+                  "script double-degrades a link pair");
         break;
-      }
-      case ChaosEventKind::kClearLink: {
-        const auto pair =
-            std::make_pair(std::min(e.a, e.b), std::max(e.a, e.b));
-        const auto it = std::find(degraded_links_.begin(),
-                                  degraded_links_.end(), pair);
-        IFLOW_CHECK_MSG(it != degraded_links_.end(),
-                        "script clears an undegraded link pair");
-        degraded_links_.erase(it);
+      case ChaosEventKind::kClearLink:
+        track_remove(degraded_links_, link_pair(e.a, e.b),
+                     "script clears an undegraded link pair");
         break;
-      }
       default:
         break;  // rate/loss/jitter/queue events change nothing that is down
     }
     return e;
   }
-  const std::vector<net::NodeId>& down_nodes() const override {
-    return down_nodes_;
+  const std::vector<net::NodeId>& down_nodes() const { return down_nodes_; }
+  const std::vector<LinkPair>& down_links() const { return down_links_; }
+  const std::vector<net::NodeId>& degraded_nodes() const {
+    return degraded_nodes_;
   }
-  const std::vector<std::pair<net::NodeId, net::NodeId>>& down_links()
-      const override {
-    return down_links_;
+  const std::vector<LinkPair>& degraded_links() const {
+    return degraded_links_;
   }
 
  private:
-  std::vector<ChaosEvent> script_;
+  const std::vector<ChaosEvent>& script_;
   std::size_t i_ = 0;
   std::vector<net::NodeId> down_nodes_;
-  std::vector<std::pair<net::NodeId, net::NodeId>> down_links_;
+  std::vector<LinkPair> down_links_;
   std::vector<net::NodeId> degraded_nodes_;
-  std::vector<std::pair<net::NodeId, net::NodeId>> degraded_links_;
+  std::vector<LinkPair> degraded_links_;
 };
 
 ChaosReport run_impl(net::Network net, query::Catalog catalog,
                      const std::vector<query::Query>& queries, int max_cs,
                      Algorithm algorithm, std::uint64_t seed,
-                     const ChaosConfig& cfg, EventSource& src) {
+                     const ChaosConfig& cfg,
+                     const std::vector<ChaosEvent>& script) {
   ChaosReport report;
   std::ostringstream digest;
 
@@ -465,7 +386,8 @@ ChaosReport run_impl(net::Network net, query::Catalog catalog,
   // event wins.
   double queue_service_s = 0.0;
 
-  for (int i = 0; i < src.count(); ++i) {
+  ScriptSource src(script);
+  for (std::size_t i = 0; i < script.size(); ++i) {
     ChaosStep step;
     step.event = src.next();
     const ChaosEvent& e = step.event;
@@ -512,8 +434,9 @@ ChaosReport run_impl(net::Network net, query::Catalog catalog,
         mw.degrade_link(e.a, e.b, net::Degradation{});
         break;
     }
-    step.violations = validate_actives(mw, replanned_ids(step.redeployments),
-                                       &step.violation_detail);
+    step.violations = harness::validate_actives(
+        mw, harness::replanned_ids(step.redeployments),
+        &step.violation_detail);
     if (!step.violation_detail.empty() && report.violation_detail.empty()) {
       report.violation_detail = step.violation_detail;
     }
@@ -521,52 +444,30 @@ ChaosReport run_impl(net::Network net, query::Catalog catalog,
     step.suspended = mw.suspended_queries();
     step.total_cost = mw.total_current_cost();
     report.violations += step.violations;
-    digest_line(digest, static_cast<std::size_t>(i), e, mw, step.total_cost,
-                step.violations);
+    digest_line(digest, i, e, mw, step.total_cost, step.violations);
     report.steps.push_back(std::move(step));
   }
 
-  // Full restoration: bring every link pair and node back, then adapt
-  // until quiescent so the suspended queue drains and drifted deployments
-  // settle. Each restore_* resets the resume-attempt budgets. Validation
-  // runs after every call — a planned cost is only checkable against the
-  // routing tables it was computed under, and each restore rebuilds them.
+  // Full restoration: heal every gray degradation, bring every link pair
+  // and node back, then adapt until quiescent so the suspended queue drains
+  // and drifted deployments settle. Degradations are quality-only, so
+  // healing them replans nothing — but the delivery twins compare lossy vs
+  // loss-free counts EXACTLY, and a still-degraded hop would push residual
+  // loss past the retry budget. Validation runs after every call — a
+  // planned cost is only checkable against the routing tables it was
+  // computed under, and each restore rebuilds them.
   const auto validate_after = [&](const std::vector<Redeployment>& reds) {
-    report.violations +=
-        validate_actives(mw, replanned_ids(reds), &report.violation_detail);
+    report.violations += harness::validate_actives(
+        mw, harness::replanned_ids(reds), &report.violation_detail);
   };
-  for (const auto& [a, b] : src.down_links()) {
-    validate_after(mw.restore_link(a, b));
+  for (const net::NodeId n : src.degraded_nodes()) {
+    mw.degrade_node(n, net::Degradation{});
   }
-  for (const net::NodeId n : src.down_nodes()) {
-    validate_after(mw.restore_node(n));
+  for (const auto& [a, b] : src.degraded_links()) {
+    mw.degrade_link(a, b, net::Degradation{});
   }
-  // Gray degradations heal too. Quality-only, so no replanning happens —
-  // but the delivery twins compare lossy vs loss-free counts EXACTLY, and
-  // a still-degraded hop would push residual loss past the retry budget.
-  for (net::NodeId n = 0; n < mw.network().node_count(); ++n) {
-    if (mw.network().node_degradation(n).degraded()) {
-      mw.degrade_node(n, net::Degradation{});
-    }
-  }
-  {
-    std::vector<std::pair<net::NodeId, net::NodeId>> sick;
-    std::unordered_set<std::uint64_t> seen;
-    for (const net::Link& l : mw.network().links()) {
-      if (!l.degradation.degraded()) continue;
-      const net::NodeId a = std::min(l.a, l.b);
-      const net::NodeId b = std::max(l.a, l.b);
-      if (seen.insert((static_cast<std::uint64_t>(a) << 32) | b).second) {
-        sick.emplace_back(a, b);
-      }
-    }
-    for (const auto& [a, b] : sick) mw.degrade_link(a, b, net::Degradation{});
-  }
-  for (int round = 0; round < 5; ++round) {
-    const std::vector<Redeployment> r = mw.adapt();
-    validate_after(r);
-    if (r.empty()) break;
-  }
+  harness::restore_and_quiesce(mw, src.down_links(), src.down_nodes(),
+                               validate_after);
   // Staggered resumes leave reuse on the table (each query planned against
   // whatever advertisements existed at its resume); the convergence pass
   // recovers it.
@@ -640,33 +541,6 @@ ChaosReport run_impl(net::Network net, query::Catalog catalog,
     const std::uint64_t sim_seed = seed ^ 0x0DE11FE12ULL;
     const std::vector<Middleware::ActiveView> views = mw.active_views();
 
-    // Dependency-ordered deploy: derived leaf units bind to operators of
-    // already-deployed queries, so sweep to a fixpoint — a reuse chain of
-    // depth d deploys in d sweeps. A sweep without progress means a
-    // provider is missing outright (the middleware's stranded-reuse repair
-    // should prevent this); report the check as not runnable then.
-    const auto deploy_all = [&](Simulation& sim) -> bool {
-      std::vector<bool> done(views.size(), false);
-      std::size_t remaining = views.size();
-      bool progress = true;
-      while (remaining > 0 && progress) {
-        progress = false;
-        for (std::size_t i = 0; i < views.size(); ++i) {
-          if (done[i]) continue;
-          try {
-            sim.deploy(*views[i].deployment,
-                       query::RateModel(mw.catalog(), *views[i].query));
-            done[i] = true;
-            --remaining;
-            progress = true;
-          } catch (const CheckError&) {
-            // Provider not deployed yet; retry next sweep.
-          }
-        }
-      }
-      return remaining == 0;
-    };
-
     const net::Network& lossy_net = mw.network();
     net::Network clean_net = lossy_net;
     for (const net::Link& l : lossy_net.links()) {
@@ -678,7 +552,9 @@ ChaosReport run_impl(net::Network net, query::Catalog catalog,
 
     Simulation lossy(lossy_net, lossy_rt, mw.catalog(), ec, sim_seed);
     Simulation clean(clean_net, clean_rt, mw.catalog(), ec, sim_seed);
-    if (deploy_all(lossy) && deploy_all(clean)) {
+    // A missing provider (the middleware's stranded-reuse repair should
+    // prevent one) leaves the check not runnable.
+    if (mw.deploy_actives(lossy) && mw.deploy_actives(clean)) {
       lossy.run();
       clean.run();
       report.delivery_checked = true;
@@ -720,9 +596,11 @@ ChaosReport run_churn(net::Network net, query::Catalog catalog,
                       const std::vector<query::Query>& queries, int max_cs,
                       Algorithm algorithm, std::uint64_t seed,
                       const ChaosConfig& cfg) {
-  InjectorSource src(net, catalog, cfg, seed ^ 0xC4A05E7A11DEADULL);
+  FaultInjector injector(net, catalog, cfg, seed ^ 0xC4A05E7A11DEADULL);
+  std::vector<ChaosEvent> script;
+  for (int i = 0; i < cfg.events; ++i) script.push_back(injector.next());
   return run_impl(std::move(net), std::move(catalog), queries, max_cs,
-                  algorithm, seed, cfg, src);
+                  algorithm, seed, cfg, script);
 }
 
 ChaosReport run_scripted(net::Network net, query::Catalog catalog,
@@ -730,9 +608,8 @@ ChaosReport run_scripted(net::Network net, query::Catalog catalog,
                          Algorithm algorithm, std::uint64_t seed,
                          const std::vector<ChaosEvent>& script,
                          const ChaosConfig& cfg) {
-  ScriptSource src(script);
   return run_impl(std::move(net), std::move(catalog), queries, max_cs,
-                  algorithm, seed, cfg, src);
+                  algorithm, seed, cfg, script);
 }
 
 // ---------------------------------------------------------------------------
@@ -777,14 +654,8 @@ class RegistrationInjector final : public RegistrationSource {
       : cfg_(cfg),
         prng_(seed),
         node_count_(net.node_count()),
-        pool_size_(pool.size()) {
-    std::unordered_set<std::uint64_t> seen;
-    for (const net::Link& l : net.links()) {
-      const net::NodeId a = std::min(l.a, l.b);
-      const net::NodeId b = std::max(l.a, l.b);
-      const std::uint64_t key = (static_cast<std::uint64_t>(a) << 32) | b;
-      if (seen.insert(key).second) link_pairs_.emplace_back(a, b);
-    }
+        pool_size_(pool.size()),
+        link_pairs_(distinct_link_pairs(net)) {
     for (query::StreamId s = 0;
          s < static_cast<query::StreamId>(catalog.stream_count()); ++s) {
       streams_.push_back(s);
@@ -930,39 +801,21 @@ class RegistrationScriptSource final : public RegistrationSource {
     IFLOW_CHECK(i_ < script_.size());
     const RegistrationEvent e = script_[i_++];
     switch (e.kind) {
-      case RegistrationEventKind::kFailNode: {
-        IFLOW_CHECK_MSG(std::find(down_nodes_.begin(), down_nodes_.end(),
-                                  e.a) == down_nodes_.end(),
-                        "registration script double-faults a node");
-        down_nodes_.push_back(e.a);
+      case RegistrationEventKind::kFailNode:
+        track_add(down_nodes_, e.a, "registration script double-faults a node");
         break;
-      }
-      case RegistrationEventKind::kRestoreNode: {
-        const auto it = std::find(down_nodes_.begin(), down_nodes_.end(), e.a);
-        IFLOW_CHECK_MSG(it != down_nodes_.end(),
-                        "registration script restores an up node");
-        down_nodes_.erase(it);
+      case RegistrationEventKind::kRestoreNode:
+        track_remove(down_nodes_, e.a,
+                     "registration script restores an up node");
         break;
-      }
-      case RegistrationEventKind::kFailLink: {
-        const auto pair =
-            std::make_pair(std::min(e.a, e.b), std::max(e.a, e.b));
-        IFLOW_CHECK_MSG(std::find(down_links_.begin(), down_links_.end(),
-                                  pair) == down_links_.end(),
-                        "registration script double-fails a link pair");
-        down_links_.push_back(pair);
+      case RegistrationEventKind::kFailLink:
+        track_add(down_links_, link_pair(e.a, e.b),
+                  "registration script double-fails a link pair");
         break;
-      }
-      case RegistrationEventKind::kRestoreLink: {
-        const auto pair =
-            std::make_pair(std::min(e.a, e.b), std::max(e.a, e.b));
-        const auto it =
-            std::find(down_links_.begin(), down_links_.end(), pair);
-        IFLOW_CHECK_MSG(it != down_links_.end(),
-                        "registration script restores an up link pair");
-        down_links_.erase(it);
+      case RegistrationEventKind::kRestoreLink:
+        track_remove(down_links_, link_pair(e.a, e.b),
+                     "registration script restores an up link pair");
         break;
-      }
       default:
         break;
     }
@@ -1061,7 +914,7 @@ RegistrationChurnReport run_registration_impl(
   const auto validate_after =
       [&](const std::unordered_set<query::QueryId>& fresh) -> std::size_t {
     std::string detail;
-    const std::size_t v = validate_actives(mw, fresh, &detail);
+    const std::size_t v = harness::validate_actives(mw, fresh, &detail);
     if (!detail.empty() && report.violation_detail.empty()) {
       report.violation_detail = detail;
     }
@@ -1076,7 +929,7 @@ RegistrationChurnReport run_registration_impl(
     report.settle_replans += st.replanned;
     report.settle_moves += st.moved;
     report.settle_actives += mw.active_queries();
-    const std::size_t v = validate_after(replanned_ids(reds));
+    const std::size_t v = validate_after(harness::replanned_ids(reds));
     digest << "settle " << step_no << " replanned " << st.replanned
            << " moved " << st.moved << " cost " << std::hexfloat
            << mw.total_current_cost() << std::defaultfloat << " viol " << v
@@ -1170,7 +1023,7 @@ RegistrationChurnReport run_registration_impl(
         reds = mw.adapt();
         break;
     }
-    std::unordered_set<query::QueryId> ids = replanned_ids(reds);
+    std::unordered_set<query::QueryId> ids = harness::replanned_ids(reds);
     ids.insert(fresh.begin(), fresh.end());
     const std::size_t v = validate_after(ids);
     reg_digest_line(digest, static_cast<std::size_t>(i), e, note, mw,
@@ -1183,25 +1036,18 @@ RegistrationChurnReport run_registration_impl(
   // Restore whatever the schedule left down, drain the suspended queue,
   // then settle the remaining dirty region. Each restore resets the resume
   // attempt budgets (and with them the exponential backoff skips).
-  for (const auto& [a, b] : src.down_links()) {
-    validate_after(replanned_ids(mw.restore_link(a, b)));
-    ++restores;
-  }
-  for (const net::NodeId n : src.down_nodes()) {
-    validate_after(replanned_ids(mw.restore_node(n)));
-    ++restores;
-  }
-  for (int round = 0; round < 5; ++round) {
-    const std::vector<Redeployment> r = mw.adapt();
-    validate_after(replanned_ids(r));
-    if (r.empty()) break;
-  }
+  restores += src.down_links().size() + src.down_nodes().size();
+  harness::restore_and_quiesce(
+      mw, src.down_links(), src.down_nodes(),
+      [&](const std::vector<Redeployment>& reds) {
+        validate_after(harness::replanned_ids(reds));
+      });
   settle_pass(static_cast<std::size_t>(src.count()));
   report.final_cost = mw.total_current_cost();
 
   // Settle parity: the incremental dirty-region path must leave at most
   // parity_slack of the total cost on the table versus a full re-cluster.
-  validate_after(replanned_ids(mw.reoptimize()));
+  validate_after(harness::replanned_ids(mw.reoptimize()));
   report.reopt_cost = mw.total_current_cost();
   report.parity_ok = std::isfinite(report.final_cost) &&
                      std::isfinite(report.reopt_cost) &&
@@ -1253,42 +1099,6 @@ RegistrationChurnReport run_registration_script(
 // Checkpoint/recovery contract.
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Operator-hosting nodes that are no query's source or sink. Crashing one
-/// of these exercises stateful rollback without silencing a source: a dead
-/// source node skips emissions drawn from the main engine Prng, so its
-/// faulted run and the fault-free twin would diverge in what was EMITTED,
-/// not in what was preserved — exactly the confusion the contract must
-/// exclude.
-std::vector<net::NodeId> recovery_targets(
-    const net::Network& net, const query::Catalog& catalog,
-    const std::vector<query::Query>& queries, const Middleware& mw) {
-  std::vector<char> endpoint(net.node_count(), 0);
-  for (const query::Query& q : queries) {
-    endpoint[q.sink] = 1;
-    for (const query::StreamId s : q.sources) {
-      endpoint[catalog.stream(s).source] = 1;
-    }
-  }
-  std::vector<char> hosting(net.node_count(), 0);
-  for (const Middleware::ActiveView& v : mw.active_views()) {
-    for (const query::DeployedOp& op : v.deployment->ops) {
-      hosting[op.node] = 1;
-    }
-  }
-  std::vector<net::NodeId> out;
-  for (net::NodeId n = 0; n < net.node_count(); ++n) {
-    if (hosting[n] != 0 && endpoint[n] == 0) out.push_back(n);
-  }
-  IFLOW_CHECK_MSG(!out.empty(),
-                  "recovery harness needs an operator host that is not a "
-                  "query endpoint (use a relay-shaped topology)");
-  return out;
-}
-
-}  // namespace
-
 RecoveryReport run_recovery(net::Network net, query::Catalog catalog,
                             const std::vector<query::Query>& queries,
                             int max_cs, Algorithm algorithm,
@@ -1301,17 +1111,19 @@ RecoveryReport run_recovery(net::Network net, query::Catalog catalog,
   for (const query::Query& q : queries) mw.deploy(q);
 
   const auto validate_after = [&](const std::vector<Redeployment>& reds) {
-    report.violations +=
-        validate_actives(mw, replanned_ids(reds), &report.violation_detail);
+    report.violations += harness::validate_actives(
+        mw, harness::replanned_ids(reds), &report.violation_detail);
   };
 
   // Control-plane churn: alternate fault (crash or quarantine of a
   // deterministically drawn operator host) and heal, so every event either
   // migrates operators off a node or settles them back — each adoption is
   // recorded as a state migration the data-plane phase replays as a warm
-  // kMigrateOps handoff.
-  const std::vector<net::NodeId> targets =
-      recovery_targets(mw.network(), mw.catalog(), queries, mw);
+  // kMigrateOps handoff. Targets are relay hosts: a dead source node skips
+  // emissions drawn from the main engine Prng, so its faulted run and the
+  // fault-free twin would diverge in what was EMITTED, not in what was
+  // preserved — exactly the confusion the contract must exclude.
+  const std::vector<net::NodeId> targets = harness::relay_hosts(mw, queries);
   Prng ev_prng(seed ^ 0x2ECC0DE5EEDULL);
   net::NodeId down = net::kInvalidNode;
   net::NodeId held = net::kInvalidNode;  // quarantined
@@ -1367,8 +1179,7 @@ RecoveryReport run_recovery(net::Network net, query::Catalog catalog,
   // final replan may have moved every operator off the pre-churn hosts, and
   // crashing a now-stateless node would exercise nothing (the volatile arm
   // would lose no results and the contract's teeth check would be vacuous).
-  const std::vector<net::NodeId> after =
-      recovery_targets(mw.network(), mw.catalog(), queries, mw);
+  const std::vector<net::NodeId> after = harness::relay_hosts(mw, queries);
   const net::NodeId crash_target = after[ev_prng.index(after.size())];
   // The data-plane phase needs at least one forced migration even when the
   // churn phase happened to replan without moving anything: hand the crash
@@ -1411,29 +1222,6 @@ RecoveryReport run_recovery(net::Network net, query::Catalog catalog,
   const net::Network& final_net = mw.network();
   const net::RoutingTables final_rt = net::RoutingTables::build(final_net);
   const std::vector<Middleware::ActiveView> views = mw.active_views();
-
-  const auto deploy_all = [&](Simulation& sim) {
-    std::vector<bool> done(views.size(), false);
-    std::size_t remaining = views.size();
-    bool progress = true;
-    while (remaining > 0 && progress) {
-      progress = false;
-      for (std::size_t i = 0; i < views.size(); ++i) {
-        if (done[i]) continue;
-        try {
-          sim.deploy(*views[i].deployment,
-                     query::RateModel(mw.catalog(), *views[i].query));
-          done[i] = true;
-          --remaining;
-          progress = true;
-        } catch (const CheckError&) {
-          // Provider not deployed yet; retry next sweep.
-        }
-      }
-    }
-    IFLOW_CHECK_MSG(remaining == 0, "reuse chain failed to deploy");
-  };
-
   const auto schedule_faults = [&](Simulation& sim) {
     sim.schedule_fault(SimFault{cfg.crash_at_s, SimFault::Kind::kCrashNode,
                                 crash_target, net::kInvalidNode, 0.0});
@@ -1451,12 +1239,12 @@ RecoveryReport run_recovery(net::Network net, query::Catalog catalog,
   // Fault-free twin. Checkpoints stay ON so the barrier/alignment schedule
   // is identical to the faulted run — the only difference is the faults.
   Simulation twin(final_net, final_rt, mw.catalog(), ec_ckpt, sim_seed);
-  deploy_all(twin);
+  IFLOW_CHECK(mw.deploy_actives(twin));
   twin.run();
 
   // Faulted run: crash + rollback recovery + warm migrations, snapshots on.
   Simulation faulted(final_net, final_rt, mw.catalog(), ec_ckpt, sim_seed);
-  deploy_all(faulted);
+  IFLOW_CHECK(mw.deploy_actives(faulted));
   schedule_faults(faulted);
   faulted.run();
 
@@ -1465,7 +1253,7 @@ RecoveryReport run_recovery(net::Network net, query::Catalog catalog,
   // so results MUST go missing — otherwise the contract is vacuous.
   Simulation volatile_arm(final_net, final_rt, mw.catalog(), ec_vol,
                           sim_seed);
-  deploy_all(volatile_arm);
+  IFLOW_CHECK(mw.deploy_actives(volatile_arm));
   schedule_faults(volatile_arm);
   volatile_arm.run();
 

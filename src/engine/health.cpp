@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
-#include <unordered_set>
 
-#include "verify/validator.h"
+#include "engine/harness.h"
 
 namespace iflow::engine {
 
@@ -288,91 +287,20 @@ std::vector<HealthMonitor::LinkSuspicion> HealthMonitor::link_suspicion()
 
 namespace {
 
-/// Dependency-ordered deploy into a simulation: derived leaf units bind to
-/// operators of already-deployed queries, so sweep to a fixpoint (same idiom
-/// as the chaos harness and the reliability bench).
-void deploy_actives(Simulation& sim, const Middleware& mw) {
-  const std::vector<Middleware::ActiveView> views = mw.active_views();
-  std::vector<bool> done(views.size(), false);
-  std::size_t remaining = views.size();
-  bool progress = true;
-  while (remaining > 0 && progress) {
-    progress = false;
-    for (std::size_t i = 0; i < views.size(); ++i) {
-      if (done[i]) continue;
-      try {
-        sim.deploy(*views[i].deployment,
-                   query::RateModel(mw.catalog(), *views[i].query));
-        done[i] = true;
-        --remaining;
-        progress = true;
-      } catch (const CheckError&) {
-        // Provider not deployed yet; retry next sweep.
-      }
-    }
-  }
-  IFLOW_CHECK_MSG(remaining == 0, "reuse chain failed to deploy");
-}
-
-/// Validates every active deployment against the live environment (health
-/// penalty included); freshly re-planned ids get the full cost pass.
-std::size_t validate_actives(
-    Middleware& mw, const std::unordered_set<query::QueryId>& replanned,
-    std::string* first_detail) {
-  opt::OptimizerEnv env = mw.planning_env();
-  const std::vector<net::NodeId> excluded = mw.excluded_hosts();
-  std::size_t violations = 0;
-  for (const Middleware::ActiveView& v : mw.active_views()) {
-    verify::ValidateOptions vopts;
-    vopts.excluded_hosts = &excluded;
-    if (replanned.count(v.query->id) > 0) {
-      vopts.query = v.query;
-      vopts.planned_cost = v.planned_cost;
-    }
-    const std::vector<verify::Violation> found =
-        verify::validate(*v.deployment, env, vopts);
-    if (!found.empty() && first_detail != nullptr && first_detail->empty()) {
-      std::ostringstream os;
-      os << "query " << v.query->id << ": " << verify::describe(found);
-      *first_detail = os.str();
-    }
-    violations += found.size();
-  }
-  return violations;
-}
-
 /// Operator-hosting stub nodes that are no query's source or sink: the
 /// degradable set. Quarantining one of these can actually heal the workload
 /// — migration removes every flow touching it — whereas a degraded endpoint
 /// is unhealable by re-placement (its traffic must terminate there).
-std::vector<net::NodeId> pick_targets(const net::Network& net,
-                                      const query::Catalog& catalog,
-                                      const std::vector<query::Query>& queries,
+std::vector<net::NodeId> pick_targets(const std::vector<query::Query>& queries,
                                       const Middleware& mw, int want,
                                       std::uint64_t seed) {
-  std::vector<char> endpoint(net.node_count(), 0);
-  for (const query::Query& q : queries) {
-    endpoint[q.sink] = 1;
-    for (const query::StreamId s : q.sources) {
-      endpoint[catalog.stream(s).source] = 1;
-    }
-  }
-  std::vector<char> hosting(net.node_count(), 0);
-  for (const Middleware::ActiveView& v : mw.active_views()) {
-    for (const query::DeployedOp& op : v.deployment->ops) {
-      hosting[op.node] = 1;
-    }
-  }
   std::vector<net::NodeId> candidates;
-  for (net::NodeId n = 0; n < net.node_count(); ++n) {
-    if (hosting[n] != 0 && endpoint[n] == 0 &&
-        net.kind(n) == net::NodeKind::kStub) {
-      candidates.push_back(n);
-    }
+  for (const net::NodeId n : harness::relay_hosts(mw, queries)) {
+    if (mw.network().kind(n) == net::NodeKind::kStub) candidates.push_back(n);
   }
   IFLOW_CHECK_MSG(!candidates.empty(),
-                  "gray harness needs an operator host that is not a query "
-                  "endpoint (use a relay-shaped topology)");
+                  "gray harness needs a stub operator host that is not a "
+                  "query endpoint (use a relay-shaped topology)");
   Prng prng(seed ^ 0x6A47A26E7ULL);
   prng.shuffle(candidates);
   candidates.resize(
@@ -417,7 +345,7 @@ SubRun gray_run(net::Network net, query::Catalog catalog,
   for (int e = 0; e < cfg.epochs; ++e) {
     Simulation sim(mw.network(), mw.routing(), mw.catalog(), ec,
                    seed ^ (0x51D0E5ULL * static_cast<std::uint64_t>(e + 1)));
-    deploy_actives(sim, mw);
+    IFLOW_CHECK(mw.deploy_actives(sim));
     sim.run();
     double goodput = 0.0;
     for (const auto& [qid, ds] : mw.collect_delivery_stats(sim)) {
@@ -425,7 +353,7 @@ SubRun gray_run(net::Network net, query::Catalog catalog,
     }
     out.final_goodput = goodput;
 
-    std::unordered_set<query::QueryId> replanned;
+    std::vector<Redeployment> reds;
     if (detect) {
       hm.observe(sim.channel_telemetry());
       const std::vector<HealthTransition> trans = hm.step(
@@ -435,28 +363,23 @@ SubRun gray_run(net::Network net, query::Catalog catalog,
       // suspicion scores.
       mw.set_health_penalty(hm.node_penalty());
       for (const HealthTransition& t : trans) {
-        std::vector<Redeployment> reds;
+        std::vector<Redeployment> r;
         if (t.to == HealthState::kQuarantined &&
             t.from != HealthState::kProbation) {
           if (out.detection_epoch < 0) out.detection_epoch = e;
-          reds = mw.quarantine_node(t.node);
+          r = mw.quarantine_node(t.node);
         } else if (t.from == HealthState::kProbation &&
                    t.to == HealthState::kHealthy) {
-          reds = mw.release_quarantine(t.node);
+          r = mw.release_quarantine(t.node);
           // Telemetry baselines reset with the release: probation starts
           // from zero suspicion instead of the pre-quarantine accrual.
           hm.on_restore(t.node);
         }
-        for (const Redeployment& r : reds) {
-          if (r.outcome == Outcome::kMigrated ||
-              r.outcome == Outcome::kResumed) {
-            replanned.insert(r.query);
-          }
-        }
+        reds.insert(reds.end(), r.begin(), r.end());
       }
     }
-    const std::size_t v = validate_actives(mw, replanned,
-                                           &out.violation_detail);
+    const std::size_t v = harness::validate_actives(
+        mw, harness::replanned_ids(reds), &out.violation_detail);
     out.violations += v;
     digest << tag << " epoch " << e << " goodput " << std::hexfloat
            << goodput << std::defaultfloat << " quarantined "
@@ -485,8 +408,7 @@ GrayReport run_gray(const net::Network& net, const query::Catalog& catalog,
     Middleware scout(scratch_net, scratch_cat, max_cs, algorithm, seed);
     scout.workspace().set_threads(cfg.threads);
     for (const query::Query& q : queries) scout.deploy(q);
-    report.targets = pick_targets(scratch_net, scratch_cat, queries, scout,
-                                  cfg.targets, seed);
+    report.targets = pick_targets(queries, scout, cfg.targets, seed);
   }
 
   const SubRun on = gray_run(net, catalog, queries, max_cs, algorithm, seed,

@@ -911,6 +911,32 @@ Middleware::collect_delivery_stats(const Simulation& sim) const {
   return out;
 }
 
+bool Middleware::deploy_actives(Simulation& sim) const {
+  return deploy_actives(sim, active_views());
+}
+
+bool Middleware::deploy_actives(Simulation& sim,
+                                const std::vector<ActiveView>& views) const {
+  // Repeated in-order passes: a reuse chain of depth d deploys in d passes;
+  // a pass without progress means some provider is missing outright.
+  std::vector<bool> done(views.size(), false);
+  std::size_t remaining = views.size();
+  bool progress = true;
+  while (remaining > 0 && progress) {
+    progress = false;
+    for (std::size_t i = 0; i < views.size(); ++i) {
+      if (done[i]) continue;
+      const query::RateModel rates(*catalog_, *views[i].query);
+      if (!sim.producers_ready(*views[i].deployment, rates)) continue;
+      sim.deploy(*views[i].deployment, rates);
+      done[i] = true;
+      --remaining;
+      progress = true;
+    }
+  }
+  return remaining == 0;
+}
+
 std::vector<Middleware::ActiveView> Middleware::active_views() const {
   std::vector<ActiveView> out;
   out.reserve(active_.size());

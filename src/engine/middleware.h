@@ -339,6 +339,15 @@ class Middleware {
   std::vector<std::pair<query::QueryId, DeliveryStats>> collect_delivery_stats(
       const Simulation& sim) const;
 
+  /// Deploys every active into `sim`, providers before the reuse consumers
+  /// that bind to their operators, by repeated in-order passes that deploy
+  /// each view once Simulation::producers_ready holds. Returns whether every
+  /// view was deployed; an undeployable view leaves no state behind.
+  bool deploy_actives(Simulation& sim) const;
+  /// Same over an explicit subset or reordering of active_views().
+  bool deploy_actives(Simulation& sim,
+                      const std::vector<ActiveView>& views) const;
+
   /// Placement changes recorded since the last clear, in adoption order —
   /// the feed a harness replays into the engine as state-handoff (warm) or
   /// cold-restart migrations.

@@ -15,6 +15,16 @@ std::string producer_key(const std::vector<query::StreamId>& streams,
   return key;
 }
 
+std::vector<query::StreamId> streams_of_mask(const query::RateModel& rates,
+                                             query::Mask m) {
+  std::vector<query::StreamId> streams;
+  for (int i = 0; i < rates.k(); ++i) {
+    if (m >> i & 1) streams.push_back(rates.stream(i));
+  }
+  std::sort(streams.begin(), streams.end());
+  return streams;
+}
+
 std::uint64_t link_key(net::NodeId a, net::NodeId b) {
   if (a > b) std::swap(a, b);
   return (static_cast<std::uint64_t>(a) << 32) | b;
@@ -95,6 +105,17 @@ Simulation::InstanceId Simulation::find_producer(
   return it->second;
 }
 
+bool Simulation::producers_ready(const query::Deployment& d,
+                                 const query::RateModel& rates) const {
+  return std::all_of(d.units.begin(), d.units.end(),
+                     [&](const query::LeafUnit& u) {
+                       return !u.derived ||
+                              producers_.count(producer_key(
+                                  streams_of_mask(rates, u.mask),
+                                  u.location)) > 0;
+                     });
+}
+
 void Simulation::register_producer(const std::vector<query::StreamId>& streams,
                                    net::NodeId node, InstanceId id) {
   producers_.emplace(producer_key(streams, node), id);
@@ -104,15 +125,16 @@ void Simulation::deploy(const query::Deployment& d,
                         const query::RateModel& rates) {
   IFLOW_CHECK_MSG(!ran_, "deploy before run()");
   query::validate_deployment(d);
-
-  auto streams_of_mask = [&rates](query::Mask m) {
-    std::vector<query::StreamId> streams;
-    for (int i = 0; i < rates.k(); ++i) {
-      if (m >> i & 1) streams.push_back(rates.stream(i));
-    }
-    std::sort(streams.begin(), streams.end());
-    return streams;
-  };
+  // All-or-nothing: every check that can reject the deployment runs before
+  // the first instance, channel or event is created.
+  for (const query::LeafUnit& u : d.units) {
+    if (u.derived) continue;
+    IFLOW_CHECK_MSG(streams_of_mask(rates, u.mask).size() == 1,
+                    "non-derived composite unit has no engine producer");
+  }
+  IFLOW_CHECK_MSG(producers_ready(d, rates),
+                  "no deployed producer for a derived unit of query "
+                      << d.query);
 
   // Wires a data edge. In reliable mode every edge gets its own channel
   // (sequence numbers, replay buffer, dedup) attributed to the deploying
@@ -149,7 +171,7 @@ void Simulation::deploy(const query::Deployment& d,
   // Resolve each leaf unit to a producing instance.
   std::vector<InstanceId> unit_producer;
   for (const query::LeafUnit& u : d.units) {
-    const auto streams = streams_of_mask(u.mask);
+    const auto streams = streams_of_mask(rates, u.mask);
     if (u.derived) {
       InstanceId producer = find_producer(streams, u.location);
       if (u.residual_filter < 1.0) {
@@ -158,8 +180,6 @@ void Simulation::deploy(const query::Deployment& d,
       }
       unit_producer.push_back(producer);
     } else {
-      IFLOW_CHECK_MSG(streams.size() == 1,
-                      "non-derived composite unit has no engine producer");
       InstanceId producer = source_for(streams[0]);
       // Query selection predicates are applied at the source (§1).
       const double f = rates.query().filter_on(streams[0]);
@@ -176,7 +196,7 @@ void Simulation::deploy(const query::Deployment& d,
     Instance inst;
     inst.kind = Kind::kJoin;
     inst.node = op.node;
-    inst.streams = streams_of_mask(op.mask);
+    inst.streams = streams_of_mask(rates, op.mask);
     inst.owner = d.query;
     instances_.push_back(std::move(inst));
     const auto id = static_cast<InstanceId>(instances_.size() - 1);
@@ -199,7 +219,7 @@ void Simulation::deploy(const query::Deployment& d,
   sink.node = d.sink;
   sink.query = d.query;
   sink.owner = d.query;
-  sink.streams = streams_of_mask([&] {
+  sink.streams = streams_of_mask(rates, [&] {
     query::Mask all = 0;
     for (const query::LeafUnit& u : d.units) all |= u.mask;
     return all;

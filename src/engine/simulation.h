@@ -263,9 +263,15 @@ class Simulation {
 
   /// Instantiates a deployment. Derived leaf units bind to operators of
   /// earlier deployments (matched by stream set + node); deploying a plan
-  /// whose derived units have no producer throws. Must be called before
-  /// run().
+  /// whose derived units have no producer throws. All-or-nothing: a
+  /// rejected deployment creates no instance, channel or event. Must be
+  /// called before run().
   void deploy(const query::Deployment& d, const query::RateModel& rates);
+
+  /// True when every derived leaf unit of `d` has a deployed producer, i.e.
+  /// deploy(d, rates) can bind all of them now.
+  bool producers_ready(const query::Deployment& d,
+                       const query::RateModel& rates) const;
 
   /// Registers a fault to inject mid-run. Must be called before run().
   void schedule_fault(const SimFault& f);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "net/gtitm.h"
 #include "workload/generator.h"
 
@@ -95,6 +97,74 @@ TEST(MiddlewareTest, AdaptedDeploymentsRemainValid) {
   // must not throw.
   EXPECT_GE(mw.total_current_cost(), 0.0);
   EXPECT_GT(mw.registry().size(), 0u);
+}
+
+// A provider and an identical consumer (new id) that reuses its advertised
+// operator output — the exhaustive planner always finds the zero-cost
+// derived leaf.
+struct ReuseChain {
+  World w{23};
+  Middleware mw{w.net, w.wl.catalog, 4, Algorithm::kExhaustive, 7};
+  query::QueryId provider = 0;
+  query::QueryId consumer = 901;
+
+  ReuseChain() {
+    provider = w.wl.queries[0].id;
+    query::Query c = w.wl.queries[0];
+    c.id = consumer;
+    c.name = "consumer";
+    EXPECT_TRUE(mw.deploy(w.wl.queries[0]).feasible);
+    EXPECT_TRUE(mw.deploy(c).feasible);
+  }
+
+  Simulation simulation() const {
+    EngineConfig ec;
+    ec.duration_s = 20.0;
+    return Simulation(mw.network(), mw.routing(), mw.catalog(), ec, 3);
+  }
+};
+
+bool reuses(const Middleware::ActiveView& v) {
+  return std::any_of(v.deployment->units.begin(), v.deployment->units.end(),
+                     [](const query::LeafUnit& u) { return u.derived; });
+}
+
+TEST(MiddlewareTest, DeployActivesDeploysConsumerListedBeforeProvider) {
+  ReuseChain rc;
+  std::vector<Middleware::ActiveView> views = rc.mw.active_views();
+  ASSERT_EQ(views.size(), 2u);
+  std::reverse(views.begin(), views.end());
+  ASSERT_EQ(views[0].query->id, rc.consumer);
+  ASSERT_TRUE(reuses(views[0]));
+
+  Simulation sim = rc.simulation();
+  EXPECT_FALSE(sim.producers_ready(
+      *views[0].deployment, query::RateModel(rc.mw.catalog(), *views[0].query)));
+  bool all = false;
+  EXPECT_NO_THROW(all = rc.mw.deploy_actives(sim, views));
+  EXPECT_TRUE(all);
+  sim.run();
+  EXPECT_GT(sim.tuples_delivered(rc.provider), 0u);
+  EXPECT_GT(sim.tuples_delivered(rc.consumer), 0u);
+
+  // The active list in its own order builds the same instances.
+  Simulation in_order = rc.simulation();
+  EXPECT_TRUE(rc.mw.deploy_actives(in_order));
+  EXPECT_EQ(in_order.operator_stats().size(), sim.operator_stats().size());
+}
+
+TEST(MiddlewareTest, DeployActivesReportsMissingProviderAndLeavesSimUntouched) {
+  ReuseChain rc;
+  std::vector<Middleware::ActiveView> views = rc.mw.active_views();
+  ASSERT_EQ(views.size(), 2u);
+  ASSERT_EQ(views[1].query->id, rc.consumer);
+  ASSERT_TRUE(reuses(views[1]));
+
+  Simulation sim = rc.simulation();
+  EXPECT_FALSE(rc.mw.deploy_actives(sim, {views[1]}));
+  EXPECT_TRUE(sim.operator_stats().empty());
+  sim.run();
+  EXPECT_EQ(sim.tuples_emitted(), 0u);
 }
 
 }  // namespace

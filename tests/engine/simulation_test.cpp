@@ -182,26 +182,51 @@ TEST(SimulationTest, DerivedUnitWithoutProducerIsRejected) {
   World w(5);
   const query::StreamId a = w.catalog.add_stream("A", 0, 10.0, 10.0);
   const query::StreamId b = w.catalog.add_stream("B", 1, 10.0, 10.0);
+  const query::StreamId c = w.catalog.add_stream("C", 2, 10.0, 10.0);
   w.catalog.set_selectivity(a, b, 0.1);
+  w.catalog.set_selectivity(a, c, 0.1);
+  w.catalog.set_selectivity(b, c, 0.1);
   query::Query q;
   q.id = 20;
-  q.sources = {a, b};
+  q.sources = {a, b, c};
   q.sink = 3;
   query::RateModel rates(w.catalog, q);
 
+  // A base unit (A at its source) ahead of a derived unit (B⋈C) that no
+  // earlier deployment produces, joined at the sink.
   query::Deployment d;
   d.query = q.id;
-  query::LeafUnit u;
-  u.mask = 0b11;
-  u.location = 2;
-  u.derived = true;
-  u.bytes_rate = rates.bytes_rate(0b11);
-  u.tuple_rate = rates.tuple_rate(0b11);
-  d.units = {u};
+  query::LeafUnit base;
+  base.mask = 0b001;
+  base.location = 0;
+  base.bytes_rate = rates.bytes_rate(0b001);
+  base.tuple_rate = rates.tuple_rate(0b001);
+  query::LeafUnit derived;
+  derived.mask = 0b110;
+  derived.location = 2;
+  derived.derived = true;
+  derived.bytes_rate = rates.bytes_rate(0b110);
+  derived.tuple_rate = rates.tuple_rate(0b110);
+  d.units = {base, derived};
+  query::DeployedOp op;
+  op.mask = 0b111;
+  op.left = query::encode_unit_child(0);
+  op.right = query::encode_unit_child(1);
+  op.node = q.sink;
+  op.out_bytes_rate = rates.bytes_rate(0b111);
+  op.out_tuple_rate = rates.tuple_rate(0b111);
+  d.ops = {op};
   d.sink = q.sink;
 
   Simulation sim(w.net, w.rt, w.catalog, low_variance_config(), 19);
+  EXPECT_FALSE(sim.producers_ready(d, rates));
+  const std::size_t before = sim.operator_stats().size();
   EXPECT_THROW(sim.deploy(d, rates), CheckError);
+  // All-or-nothing: the rejected deploy left no source instance behind, so
+  // nothing emits.
+  EXPECT_EQ(sim.operator_stats().size(), before);
+  sim.run();
+  EXPECT_EQ(sim.tuples_emitted(), 0u);
 }
 
 TEST(SimulationTest, SelectiveJoinProducesNoSpuriousMatches) {
