@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <unordered_set>
 
@@ -33,6 +34,87 @@ std::vector<LinkPair> distinct_link_pairs(const net::Network& net) {
     }
   }
   return out;
+}
+
+/// Event kinds an injector emits for down-set draws. With `crash_node`
+/// set, a fair coin picks it or `fail_node` for each node fault.
+template <typename Kind>
+struct DownKinds {
+  Kind restore_node;
+  Kind restore_link;
+  Kind fail_node;
+  Kind fail_link;
+  std::optional<Kind> crash_node;
+};
+
+/// The down-set drawer of both injectors. Budgets cap the down nodes and
+/// links (never more than half the nodes, so the hierarchy keeps a working
+/// quorum and planners always have somewhere to place operators); with
+/// something down a restore-biased coin — forced when no fault fits the
+/// budget — restores a uniformly picked down element; otherwise a node or
+/// link (a fair coin when both fit) is faulted, drawn uniformly from the up
+/// set. Fills `e` and updates `down_nodes`/`down_links`; returns false,
+/// drawing nothing more, when nothing can be faulted or restored.
+template <typename Event, typename Config, typename Kind>
+bool draw_down_event(Prng& prng, const Config& cfg, std::size_t node_count,
+                     const std::vector<LinkPair>& link_pairs,
+                     std::vector<net::NodeId>& down_nodes,
+                     std::vector<LinkPair>& down_links,
+                     const DownKinds<Kind>& kinds, Event& e) {
+  const bool anything_down = !down_nodes.empty() || !down_links.empty();
+  const bool node_budget =
+      down_nodes.size() <
+          static_cast<std::size_t>(std::max(cfg.max_down_nodes, 0)) &&
+      (down_nodes.size() + 1) * 2 <= node_count;
+  const bool link_budget =
+      down_links.size() <
+          static_cast<std::size_t>(std::max(cfg.max_down_links, 0)) &&
+      down_links.size() < link_pairs.size();
+  const bool can_fault = node_budget || link_budget;
+
+  if (anything_down && (prng.chance(cfg.restore_bias) || !can_fault)) {
+    const std::size_t pick = prng.index(down_nodes.size() + down_links.size());
+    if (pick < down_nodes.size()) {
+      e.kind = kinds.restore_node;
+      e.a = down_nodes[pick];
+      down_nodes.erase(down_nodes.begin() + static_cast<std::ptrdiff_t>(pick));
+    } else {
+      const std::size_t li = pick - down_nodes.size();
+      e.kind = kinds.restore_link;
+      e.a = down_links[li].first;
+      e.b = down_links[li].second;
+      down_links.erase(down_links.begin() + static_cast<std::ptrdiff_t>(li));
+    }
+    return true;
+  }
+  if (!can_fault) return false;
+  if (node_budget && (!link_budget || prng.chance(0.5))) {
+    std::vector<net::NodeId> up;
+    for (net::NodeId n = 0; n < static_cast<net::NodeId>(node_count); ++n) {
+      if (std::find(down_nodes.begin(), down_nodes.end(), n) ==
+          down_nodes.end()) {
+        up.push_back(n);
+      }
+    }
+    e.kind = (kinds.crash_node && prng.chance(0.5)) ? *kinds.crash_node
+                                                    : kinds.fail_node;
+    e.a = prng.pick(up);
+    down_nodes.push_back(e.a);
+    return true;
+  }
+  std::vector<LinkPair> up;
+  for (const LinkPair& p : link_pairs) {
+    if (std::find(down_links.begin(), down_links.end(), p) ==
+        down_links.end()) {
+      up.push_back(p);
+    }
+  }
+  const LinkPair& p = prng.pick(up);
+  e.kind = kinds.fail_link;
+  e.a = p.first;
+  e.b = p.second;
+  down_links.push_back(p);
+  return true;
 }
 
 /// Script applicability: a fault or degradation must hit an element not
@@ -89,7 +171,6 @@ FaultInjector::FaultInjector(const net::Network& net,
 
 ChaosEvent FaultInjector::next() {
   ChaosEvent e;
-  const bool anything_down = !down_nodes_.empty() || !down_links_.empty();
 
   if (!streams_.empty() && prng_.chance(cfg_.spike_probability)) {
     e.kind = ChaosEventKind::kRateSpike;
@@ -199,67 +280,12 @@ ChaosEvent FaultInjector::next() {
     }
   }
 
-  // Never take down more than half the nodes: the hierarchy keeps a
-  // working quorum and planners always have somewhere to place operators.
-  const bool node_budget =
-      down_nodes_.size() <
-          static_cast<std::size_t>(std::max(cfg_.max_down_nodes, 0)) &&
-      (down_nodes_.size() + 1) * 2 <= node_count_;
-  const bool link_budget =
-      down_links_.size() <
-          static_cast<std::size_t>(std::max(cfg_.max_down_links, 0)) &&
-      down_links_.size() < link_pairs_.size();
-  const bool can_fault = node_budget || link_budget;
-
-  if (anything_down && (prng_.chance(cfg_.restore_bias) || !can_fault)) {
-    const std::size_t pool = down_nodes_.size() + down_links_.size();
-    const std::size_t pick = prng_.index(pool);
-    if (pick < down_nodes_.size()) {
-      e.kind = ChaosEventKind::kRestoreNode;
-      e.a = down_nodes_[pick];
-      down_nodes_.erase(down_nodes_.begin() +
-                        static_cast<std::ptrdiff_t>(pick));
-    } else {
-      const std::size_t li = pick - down_nodes_.size();
-      e.kind = ChaosEventKind::kRestoreLink;
-      e.a = down_links_[li].first;
-      e.b = down_links_[li].second;
-      down_links_.erase(down_links_.begin() +
-                        static_cast<std::ptrdiff_t>(li));
-    }
-    return e;
-  }
-
-  if (can_fault) {
-    const bool pick_node =
-        node_budget && (!link_budget || prng_.chance(0.5));
-    if (pick_node) {
-      std::vector<net::NodeId> up;
-      for (net::NodeId n = 0; n < static_cast<net::NodeId>(node_count_);
-           ++n) {
-        if (std::find(down_nodes_.begin(), down_nodes_.end(), n) ==
-            down_nodes_.end()) {
-          up.push_back(n);
-        }
-      }
-      e.kind = prng_.chance(0.5) ? ChaosEventKind::kCrashNode
-                                 : ChaosEventKind::kFailNode;
-      e.a = prng_.pick(up);
-      down_nodes_.push_back(e.a);
-      return e;
-    }
-    std::vector<std::pair<net::NodeId, net::NodeId>> up;
-    for (const auto& p : link_pairs_) {
-      if (std::find(down_links_.begin(), down_links_.end(), p) ==
-          down_links_.end()) {
-        up.push_back(p);
-      }
-    }
-    const auto& p = prng_.pick(up);
-    e.kind = ChaosEventKind::kFailLink;
-    e.a = p.first;
-    e.b = p.second;
-    down_links_.push_back(p);
+  static constexpr DownKinds<ChaosEventKind> kDownKinds{
+      ChaosEventKind::kRestoreNode, ChaosEventKind::kRestoreLink,
+      ChaosEventKind::kFailNode, ChaosEventKind::kFailLink,
+      ChaosEventKind::kCrashNode};
+  if (draw_down_event(prng_, cfg_, node_count_, link_pairs_, down_nodes_,
+                      down_links_, kDownKinds, e)) {
     return e;
   }
 
@@ -672,63 +698,13 @@ class RegistrationInjector final : public RegistrationSource {
   RegistrationEvent next(const std::vector<char>& in_system) override {
     RegistrationEvent e;
     if (prng_.chance(cfg_.fault_probability)) {
-      const bool anything_down = !down_nodes_.empty() || !down_links_.empty();
-      const bool node_budget =
-          down_nodes_.size() <
-              static_cast<std::size_t>(std::max(cfg_.max_down_nodes, 0)) &&
-          (down_nodes_.size() + 1) * 2 <= node_count_;
-      const bool link_budget =
-          down_links_.size() <
-              static_cast<std::size_t>(std::max(cfg_.max_down_links, 0)) &&
-          down_links_.size() < link_pairs_.size();
-      if (anything_down &&
-          (prng_.chance(cfg_.restore_bias) || (!node_budget && !link_budget))) {
-        const std::size_t pool = down_nodes_.size() + down_links_.size();
-        const std::size_t pick = prng_.index(pool);
-        if (pick < down_nodes_.size()) {
-          e.kind = RegistrationEventKind::kRestoreNode;
-          e.a = down_nodes_[pick];
-          down_nodes_.erase(down_nodes_.begin() +
-                            static_cast<std::ptrdiff_t>(pick));
-        } else {
-          const std::size_t li = pick - down_nodes_.size();
-          e.kind = RegistrationEventKind::kRestoreLink;
-          e.a = down_links_[li].first;
-          e.b = down_links_[li].second;
-          down_links_.erase(down_links_.begin() +
-                            static_cast<std::ptrdiff_t>(li));
-        }
-        return e;
-      }
-      if (node_budget || link_budget) {
-        const bool pick_node =
-            node_budget && (!link_budget || prng_.chance(0.5));
-        if (pick_node) {
-          std::vector<net::NodeId> up;
-          for (net::NodeId n = 0; n < static_cast<net::NodeId>(node_count_);
-               ++n) {
-            if (std::find(down_nodes_.begin(), down_nodes_.end(), n) ==
-                down_nodes_.end()) {
-              up.push_back(n);
-            }
-          }
-          e.kind = RegistrationEventKind::kFailNode;
-          e.a = prng_.pick(up);
-          down_nodes_.push_back(e.a);
-          return e;
-        }
-        std::vector<std::pair<net::NodeId, net::NodeId>> up;
-        for (const auto& p : link_pairs_) {
-          if (std::find(down_links_.begin(), down_links_.end(), p) ==
-              down_links_.end()) {
-            up.push_back(p);
-          }
-        }
-        const auto& p = prng_.pick(up);
-        e.kind = RegistrationEventKind::kFailLink;
-        e.a = p.first;
-        e.b = p.second;
-        down_links_.push_back(p);
+      static constexpr DownKinds<RegistrationEventKind> kDownKinds{
+          RegistrationEventKind::kRestoreNode,
+          RegistrationEventKind::kRestoreLink,
+          RegistrationEventKind::kFailNode, RegistrationEventKind::kFailLink,
+          std::nullopt};
+      if (draw_down_event(prng_, cfg_, node_count_, link_pairs_, down_nodes_,
+                          down_links_, kDownKinds, e)) {
         return e;
       }
       // No fault budget and nothing to restore: fall through to churn.

@@ -43,18 +43,26 @@ Simulation::Simulation(const net::Network& net, const net::RoutingTables& rt,
       net_prng_(seed ^ 0xAC4DE11FE55ULL) {
   IFLOW_CHECK(cfg.duration_s > 0.0);
   IFLOW_CHECK(cfg.window_s > 0.0);
-  if (cfg.reliability.enabled) {
-    const ReliabilityConfig& r = cfg.reliability;
+  const ReliabilityConfig& r = cfg.reliability;
+  if (r.enabled) {
     IFLOW_CHECK_MSG(cfg.duration_s > r.drain_s,
                     "duration must exceed the drain window");
     IFLOW_CHECK(r.ack_timeout_s > 0.0 && r.backoff_factor >= 1.0);
     IFLOW_CHECK(r.max_backoff_s >= r.ack_timeout_s);
     IFLOW_CHECK(r.max_retries >= 0 && r.window > 0);
-  }
-  if (cfg.checkpoint.enabled) {
-    IFLOW_CHECK_MSG(cfg.reliability.enabled,
+  } else {
+    // Both features need a retransmitter: a barrier cut is replayed from
+    // channel retention, and a refused tuple is re-sent on timeout.
+    // Without acks they would lose tuples silently.
+    IFLOW_CHECK_MSG(!cfg.checkpoint.enabled,
                     "checkpointing requires the reliable data plane "
                     "(barriers are cuts in channel sequence space)");
+    IFLOW_CHECK_MSG(
+        !bounded_queues() || r.overflow != OverflowPolicy::kBackpressure,
+        "backpressure requires the reliable data plane "
+        "(a refused tuple has no retransmitter)");
+  }
+  if (cfg.checkpoint.enabled) {
     IFLOW_CHECK(cfg.checkpoint.interval_s > 0.0);
     IFLOW_CHECK(cfg.checkpoint.replicas >= 1);
   }
@@ -92,8 +100,8 @@ Simulation::InstanceId Simulation::source_for(query::StreamId s) {
   sources_.emplace(s, id);
   // First emission: random phase so colocated sources do not synchronise.
   const double rate = source_rate(s, 0.0);
-  schedule(
-      Event{prng_.uniform(0.0, 1.0 / rate), next_seq_++, id, -1, nullptr, {}});
+  schedule(Event{prng_.uniform(0.0, 1.0 / rate), next_seq_++, id, kEmitPort,
+                 nullptr, {}});
   return id;
 }
 
@@ -136,21 +144,17 @@ void Simulation::deploy(const query::Deployment& d,
                   "no deployed producer for a derived unit of query "
                       << d.query);
 
-  // Wires a data edge. In reliable mode every edge gets its own channel
-  // (sequence numbers, replay buffer, dedup) attributed to the deploying
-  // query; the legacy plane ships over the edge fire-and-forget.
+  // Wires a data edge: its own channel (sequence numbers; with reliability
+  // on also the replay buffer and dedup) attributed to the deploying query.
   auto connect = [this, &d](InstanceId from, InstanceId to, int port) {
-    Consumer c{to, port, d.query, kNoChannel};
-    if (cfg_.reliability.enabled) {
-      Channel ch;
-      ch.producer = from;
-      ch.consumer = to;
-      ch.port = port;
-      ch.query = d.query;
-      channels_.push_back(std::move(ch));
-      c.channel = static_cast<std::uint32_t>(channels_.size() - 1);
-    }
-    instances_[from].consumers.push_back(c);
+    Channel ch;
+    ch.producer = from;
+    ch.consumer = to;
+    ch.port = port;
+    ch.query = d.query;
+    channels_.push_back(std::move(ch));
+    instances_[from].outputs.push_back(
+        static_cast<std::uint32_t>(channels_.size() - 1));
   };
 
   // Interposes a selection operator at `node` in front of `producer`.
@@ -404,48 +408,29 @@ TuplePtr Simulation::join_tuples(const Tuple& a, const Tuple& b) const {
   return t;
 }
 
-void Simulation::send(double now, net::NodeId from, const TuplePtr& tuple,
-                      const Consumer& to, InstanceId producer) {
-  if (producer != kNoProducer) {
-    instances_[producer].tuples_sent += 1;
-    instances_[producer].bytes_sent += tuple->width;
+void Simulation::emit(double now, InstanceId id, const TuplePtr& tuple) {
+  Instance& inst = instances_[id];
+  for (std::uint32_t ch : inst.outputs) {
+    inst.tuples_sent += 1;
+    inst.bytes_sent += tuple->width;
+    channel_send(now, ch, tuple);
   }
-  if (to.channel != kNoChannel) {
-    channel_send(now, to.channel, tuple);
-    return;
-  }
-  const net::NodeId dest = instances_[to.instance].node;
-  double arrive = now;
-  std::vector<std::uint32_t> links;
-  if (fnet_ && !fnet_->node_alive(dest)) {
-    ++tuples_dropped_;
-    return;
-  }
-  if (from != dest) {
-    const std::vector<net::NodeId> path = cur_rt().cost_path(from, dest);
-    if (path.empty()) {  // partitioned: nothing to carry the tuple
-      ++tuples_dropped_;
-      return;
-    }
-    links.reserve(path.size() - 1);
-    for (std::size_t h = 0; h + 1 < path.size(); ++h) {
-      const auto it = link_index_.find(link_key(path[h], path[h + 1]));
-      IFLOW_CHECK(it != link_index_.end());
-      const net::Link& link = net_->links()[it->second];
-      link_bytes_[it->second] += tuple->width;
-      links.push_back(static_cast<std::uint32_t>(it->second));
-      arrive += link.delay_ms / 1000.0 + tuple->width * 8.0 / link.bandwidth_bps;
-    }
-  }
-  schedule(Event{arrive, next_seq_++, to.instance, to.port, tuple,
-                 std::move(links)});
 }
 
-// --- Reliable data plane ---------------------------------------------------
+// --- Channel transport -----------------------------------------------------
 
 void Simulation::channel_send(double now, std::uint32_t ch,
                               const TuplePtr& tuple) {
   Channel& c = channels_[ch];
+  if (!cfg_.reliability.enabled) {
+    // One transmission and nothing else: no window, no timer, no ack. A
+    // tuple the walk drops stays dropped.
+    if (!ship(now, ch, c.next_seq++, tuple, /*is_retransmit=*/false)
+             .delivered) {
+      ++tuples_dropped_;
+    }
+    return;
+  }
   if (c.pending.size() >= cfg_.reliability.window) {
     // Sliding window full: park the tuple in the ack-trimmed backlog. This
     // is how backpressure propagates upstream — the producer's output
@@ -453,6 +438,12 @@ void Simulation::channel_send(double now, std::uint32_t ch,
     c.backlog.push_back(tuple);
     return;
   }
+  send_new(now, ch, tuple);
+}
+
+void Simulation::send_new(double now, std::uint32_t ch,
+                          const TuplePtr& tuple) {
+  Channel& c = channels_[ch];
   const std::uint64_t seq = c.next_seq++;
   c.pending.emplace(seq, PendingTuple{tuple, 0});
   if (cfg_.checkpoint.enabled) {
@@ -481,72 +472,73 @@ void Simulation::hop_degradation(const net::Link& link, double now,
   *slowdown = slow;
 }
 
+Simulation::Walk Simulation::walk(double now, net::NodeId from,
+                                  net::NodeId dest, double width,
+                                  double* channel_bytes) {
+  Walk w;
+  w.arrive = now;
+  // Nothing reaches a dead node or crosses a partition.
+  if (fnet_ && !fnet_->node_alive(dest)) return w;
+  if (from != dest) {
+    const std::vector<net::NodeId> path = cur_rt().cost_path(from, dest);
+    if (path.empty()) return w;
+    w.links.reserve(path.size() - 1);
+    for (std::size_t h = 0; h + 1 < path.size(); ++h) {
+      const auto li = link_index_.find(link_key(path[h], path[h + 1]));
+      IFLOW_CHECK(li != link_index_.end());
+      const net::Link& link = cur_net().links()[li->second];
+      // A lossy hop still carried the bytes: charge up to and including
+      // the hop that drops the message.
+      link_bytes_[li->second] += width;
+      if (channel_bytes != nullptr) *channel_bytes += width;
+      w.links.push_back(static_cast<std::uint32_t>(li->second));
+      const double hop_s =
+          link.delay_ms / 1000.0 + width * 8.0 / link.bandwidth_bps;
+      // The clean RTT is the data hop plus the ack's delay-only return, no
+      // degradation, no jitter.
+      w.clean_rtt_s += hop_s + link.delay_ms / 1000.0;
+      double extra_loss = 0.0;
+      double slowdown = 1.0;
+      hop_degradation(link, now, &extra_loss, &slowdown);
+      w.arrive += hop_s * slowdown;
+      if (link.loss > 0.0 && net_prng_.chance(link.loss)) return w;
+      // A gray hop drops with the folded degradation loss.
+      if (extra_loss > 0.0 && net_prng_.chance(extra_loss)) return w;
+      if (link.jitter_ms > 0.0) {
+        w.arrive += net_prng_.uniform(0.0, link.jitter_ms / 1000.0);
+      }
+    }
+  }
+  w.delivered = true;
+  return w;
+}
+
+Simulation::Walk Simulation::ship(double now, std::uint32_t ch,
+                                  std::uint64_t seq, const TuplePtr& tuple,
+                                  bool is_retransmit) {
+  Channel& c = channels_[ch];
+  ++c.sent;
+  Walk w = walk(now, instances_[c.producer].node, instances_[c.consumer].node,
+                tuple->width,
+                is_retransmit ? &c.retransmit_bytes : &c.data_bytes);
+  if (w.delivered) {
+    schedule(Event{w.arrive, next_seq_++, c.consumer, c.port, tuple,
+                   std::move(w.links), ch, seq, c.incarnation});
+  }
+  return w;
+}
+
 void Simulation::transmit(double now, std::uint32_t ch, std::uint64_t seq,
                           bool is_retransmit) {
   Channel& c = channels_[ch];
   const auto it = c.pending.find(seq);
   IFLOW_CHECK(it != c.pending.end());
-  const TuplePtr& tuple = it->second.tuple;
-  const net::NodeId from = instances_[c.producer].node;
-  const net::NodeId dest = instances_[c.consumer].node;
-  double arrive = now;
-  double expected_rtt = 0.0;  // clean-network data path + ack return
-  std::vector<std::uint32_t> links;
-  bool lost = false;
-  ++c.sent;
-  if (fnet_ && !fnet_->node_alive(dest)) {
-    // Nothing reaches a dead node; the timeout below will replay the tuple
-    // once the node (or a route to it) comes back — or give up after the
-    // retry budget.
-    lost = true;
-  } else if (from != dest) {
-    const std::vector<net::NodeId> path = cur_rt().cost_path(from, dest);
-    if (path.empty()) {
-      lost = true;  // partitioned; replay after the route heals
-    } else {
-      links.reserve(path.size() - 1);
-      for (std::size_t h = 0; h + 1 < path.size(); ++h) {
-        const auto li = link_index_.find(link_key(path[h], path[h + 1]));
-        IFLOW_CHECK(li != link_index_.end());
-        const net::Link& link = cur_net().links()[li->second];
-        // The lossy hop still carried the bytes: charge up to and
-        // including the hop that drops the tuple.
-        link_bytes_[li->second] += tuple->width;
-        if (is_retransmit) {
-          c.retransmit_bytes += tuple->width;
-        } else {
-          c.data_bytes += tuple->width;
-        }
-        links.push_back(static_cast<std::uint32_t>(li->second));
-        const double hop_s =
-            link.delay_ms / 1000.0 + tuple->width * 8.0 / link.bandwidth_bps;
-        // Expected RTT uses the clean model: the data hop plus the ack's
-        // delay-only return, no degradation, no jitter.
-        expected_rtt += hop_s + link.delay_ms / 1000.0;
-        double extra_loss = 0.0;
-        double slowdown = 1.0;
-        hop_degradation(link, now, &extra_loss, &slowdown);
-        arrive += hop_s * slowdown;
-        if (link.loss > 0.0 && net_prng_.chance(link.loss)) {
-          lost = true;
-          break;
-        }
-        if (extra_loss > 0.0 && net_prng_.chance(extra_loss)) {
-          lost = true;  // gray hop dropped the tuple
-          break;
-        }
-        if (link.jitter_ms > 0.0) {
-          arrive += net_prng_.uniform(0.0, link.jitter_ms / 1000.0);
-        }
-      }
-    }
-  }
+  // An undelivered transmission (dead node, partition, lossy hop) is
+  // replayed by the timeout below once the route heals — or given up after
+  // the retry budget.
+  const Walk w = ship(now, ch, seq, it->second.tuple, is_retransmit);
   it->second.sent_at = now;
-  it->second.expected_rtt_s = expected_rtt;
-  if (!lost) {
-    schedule(Event{arrive, next_seq_++, c.consumer, c.port, tuple,
-                   std::move(links), ch, seq, c.incarnation});
-  }
+  it->second.expected_rtt_s = w.clean_rtt_s;
   // Always arm the retransmit timer; a timely ack disarms it by erasing the
   // pending entry before it fires.
   const ReliabilityConfig& r = cfg_.reliability;
@@ -560,36 +552,21 @@ void Simulation::transmit(double now, std::uint32_t ch, std::uint64_t seq,
             ch, seq, c.incarnation});
 }
 
+void Simulation::acknowledge(double now, std::uint32_t ch, std::uint64_t seq) {
+  // Without reliability nothing is ever retransmitted: no dedup, no ack.
+  if (!cfg_.reliability.enabled) return;
+  mark_seen(channels_[ch], seq);
+  send_ack(now, ch, seq);
+}
+
 void Simulation::send_ack(double now, std::uint32_t ch, std::uint64_t seq) {
-  Channel& c = channels_[ch];
-  const net::NodeId from = instances_[c.consumer].node;
-  const net::NodeId dest = instances_[c.producer].node;
-  double arrive = now;
-  std::vector<std::uint32_t> links;
-  if (fnet_ && !fnet_->node_alive(dest)) return;  // sender is gone
-  if (from != dest) {
-    const std::vector<net::NodeId> path = cur_rt().cost_path(from, dest);
-    if (path.empty()) return;
-    links.reserve(path.size() - 1);
-    for (std::size_t h = 0; h + 1 < path.size(); ++h) {
-      const auto li = link_index_.find(link_key(path[h], path[h + 1]));
-      IFLOW_CHECK(li != link_index_.end());
-      const net::Link& link = cur_net().links()[li->second];
-      // Acks are a few bytes — not charged to link totals.
-      links.push_back(static_cast<std::uint32_t>(li->second));
-      double extra_loss = 0.0;
-      double slowdown = 1.0;
-      hop_degradation(link, now, &extra_loss, &slowdown);
-      arrive += link.delay_ms / 1000.0 * slowdown;
-      if (link.loss > 0.0 && net_prng_.chance(link.loss)) return;  // ack lost
-      if (extra_loss > 0.0 && net_prng_.chance(extra_loss)) return;
-      if (link.jitter_ms > 0.0) {
-        arrive += net_prng_.uniform(0.0, link.jitter_ms / 1000.0);
-      }
-    }
-  }
-  schedule(Event{arrive, next_seq_++, c.producer, kAckPort, nullptr,
-                 std::move(links), ch, seq, c.incarnation});
+  const Channel& c = channels_[ch];
+  // Acks are a few bytes: a zero-width walk, so they charge no link bytes.
+  Walk w = walk(now, instances_[c.consumer].node, instances_[c.producer].node,
+                0.0, nullptr);
+  if (!w.delivered) return;  // the timeout replays the tuple
+  schedule(Event{w.arrive, next_seq_++, c.producer, kAckPort, nullptr,
+                 std::move(w.links), ch, seq, c.incarnation});
 }
 
 void Simulation::handle_ack(double now, std::uint32_t ch, std::uint64_t seq) {
@@ -625,14 +602,7 @@ void Simulation::pump_backlog(double now, std::uint32_t ch) {
          c.pending.size() < cfg_.reliability.window) {
     const TuplePtr tuple = c.backlog.front();
     c.backlog.pop_front();
-    const std::uint64_t seq = c.next_seq++;
-    c.pending.emplace(seq, PendingTuple{tuple, 0});
-    if (cfg_.checkpoint.enabled) {
-      c.retained.emplace(seq, tuple);
-      c.retained_high_water =
-          std::max(c.retained_high_water, c.retained.size());
-    }
-    transmit(now, ch, seq, /*is_retransmit=*/false);
+    send_new(now, ch, tuple);
   }
 }
 
@@ -671,11 +641,8 @@ void Simulation::receive(double now, std::uint32_t ch, std::uint64_t seq,
     return;
   }
   const ReliabilityConfig& r = cfg_.reliability;
-  const bool queued = r.queue_capacity > 0 && r.service_s > 0.0 &&
-                      inst.kind != Kind::kSource;
-  if (!queued) {
-    mark_seen(c, seq);
-    send_ack(now, ch, seq);
+  if (!bounded_queues()) {
+    acknowledge(now, ch, seq);
     arrive_at(now, c.consumer, port, tuple);
     if (epoch_open_) maybe_snap(now, c.consumer);
     return;
@@ -686,12 +653,12 @@ void Simulation::receive(double now, std::uint32_t ch, std::uint64_t seq,
         // Refuse: no ack, no dedup entry. The sender's timeout replays the
         // tuple; meanwhile service completions drain the queue, so the
         // retransmit eventually finds room — bounded depth, no drops, no
-        // deadlock.
+        // deadlock. (The constructor allows this policy only with
+        // reliability on.)
         return;
       case OverflowPolicy::kDropNewest:
         ++inst.shed;
-        mark_seen(c, seq);
-        send_ack(now, ch, seq);  // shed deliberately: ack so nobody replays
+        acknowledge(now, ch, seq);  // shed deliberately: nobody replays
         if (epoch_open_) maybe_snap(now, c.consumer);
         return;
       case OverflowPolicy::kDropOldest:
@@ -700,8 +667,7 @@ void Simulation::receive(double now, std::uint32_t ch, std::uint64_t seq,
         break;
     }
   }
-  mark_seen(c, seq);
-  send_ack(now, ch, seq);
+  acknowledge(now, ch, seq);
   inst.inbox.emplace_back(port, tuple);
   inst.max_queue_depth = std::max(inst.max_queue_depth, inst.inbox.size());
   if (!inst.busy) {
@@ -794,8 +760,6 @@ void Simulation::snap_instance(double now, InstanceId id) {
   st.window[0] = inst.window[0];
   st.window[1] = inst.window[1];
   st.max_born = inst.max_born;
-  st.window_index = inst.window_index;
-  st.groups_seen = inst.groups_seen;
   st.agg_windows = inst.agg_windows;
   st.inbox = inst.inbox;
   st.delivered = inst.delivered;
@@ -804,12 +768,11 @@ void Simulation::snap_instance(double now, InstanceId id) {
   // Stamp the cut on every output channel before anything else can flow:
   // all sequences below it belong to this epoch, everything at or above it
   // to the next.
-  for (const Consumer& con : inst.consumers) {
-    if (con.channel == kNoChannel) continue;
-    Channel& ch = channels_[con.channel];
+  for (std::uint32_t out : inst.outputs) {
+    Channel& ch = channels_[out];
     IFLOW_CHECK(ch.cut == Channel::kNoCut);
     ch.cut = ch.next_seq;
-    building_.cuts[con.channel] = ch.cut;
+    building_.cuts[out] = ch.cut;
   }
   // Drain the alignment buffers of this instance's inputs in sequence
   // order. Outputs produced by the drain carry post-cut sequences, so
@@ -824,9 +787,9 @@ void Simulation::snap_instance(double now, InstanceId id) {
     }
   }
   // The freshly stamped cuts may already be met on idle channels.
-  for (const Consumer& con : inst.consumers) {
+  for (std::uint32_t out : inst.outputs) {
     if (!epoch_open_) break;
-    if (con.channel != kNoChannel) maybe_snap(now, con.instance);
+    maybe_snap(now, channels_[out].consumer);
   }
   if (epoch_open_ && unsnapped_ == 0) commit_epoch(now);
 }
@@ -836,7 +799,6 @@ double Simulation::instance_state_bytes(const InstState& s) const {
   for (const auto* w : {&s.window[0], &s.window[1]}) {
     for (const auto& [born, t] : *w) b += 16.0 + t->width;
   }
-  b += 8.0 * static_cast<double>(s.groups_seen.size());
   for (const auto& [w, groups] : s.agg_windows) {
     b += 16.0 + 8.0 * static_cast<double>(groups.size());
   }
@@ -905,8 +867,6 @@ void Simulation::wipe_operator_state(Instance& inst) {
   inst.window[0].clear();
   inst.window[1].clear();
   inst.max_born = -std::numeric_limits<double>::infinity();
-  inst.window_index = -1;
-  inst.groups_seen.clear();
   inst.agg_windows.clear();
   inst.inbox.clear();
 }
@@ -930,10 +890,11 @@ void Simulation::recover_node(double now, net::NodeId n) {
   while (!work.empty()) {
     const InstanceId u = work.front();
     work.pop_front();
-    for (const Consumer& con : instances_[u].consumers) {
-      if (!region[con.instance]) {
-        region[con.instance] = 1;
-        work.push_back(con.instance);
+    for (std::uint32_t out : instances_[u].outputs) {
+      const InstanceId v = channels_[out].consumer;
+      if (!region[v]) {
+        region[v] = 1;
+        work.push_back(v);
       }
     }
   }
@@ -944,15 +905,12 @@ void Simulation::recover_node(double now, net::NodeId n) {
     inst.window[0] = st.window[0];
     inst.window[1] = st.window[1];
     inst.max_born = st.max_born;
-    inst.window_index = st.window_index;
-    inst.groups_seen = st.groups_seen;
     inst.agg_windows = st.agg_windows;
     inst.inbox = st.inbox;
     inst.delivered = st.delivered;
     inst.latency_sum_s = st.latency_sum_s;
     inst.busy = false;
-    if (!inst.inbox.empty() && cfg_.reliability.queue_capacity > 0 &&
-        cfg_.reliability.service_s > 0.0) {
+    if (!inst.inbox.empty() && bounded_queues()) {
       inst.busy = true;
       schedule(Event{now + cfg_.reliability.service_s, next_seq_++, id,
                      kServicePort, nullptr, {}});
@@ -1040,23 +998,27 @@ bool Simulation::hash_pass(const Tuple& t, InstanceId id, double p) const {
 
 // ---------------------------------------------------------------------------
 
+double Simulation::emission_end() const {
+  return cfg_.reliability.enabled ? cfg_.duration_s - cfg_.reliability.drain_s
+                                  : cfg_.duration_s;
+}
+
 void Simulation::emit_from_source(double now, InstanceId id) {
   Instance& inst = instances_[id];
   // A crashed source node emits nothing but keeps its clock ticking, so it
-  // resumes production as soon as the node is restored. In reliable mode the
-  // source also goes quiet for the final drain window so in-flight and
-  // retransmitted tuples settle before the horizon; the cutoff is a pure
-  // function of time, so lossy and loss-free runs emit identically.
-  const bool draining = cfg_.reliability.enabled &&
-                        now >= cfg_.duration_s - cfg_.reliability.drain_s;
-  if ((!fnet_ || fnet_->node_alive(inst.node)) && !draining) {
+  // resumes production as soon as the node is restored. Past the emission
+  // end (the drain window, with reliability on) the source goes quiet so
+  // in-flight and retransmitted tuples settle before the horizon; the
+  // cutoff is a pure function of time, so lossy and loss-free runs emit
+  // identically.
+  if ((!fnet_ || fnet_->node_alive(inst.node)) && now < emission_end()) {
     const TuplePtr t = make_source_tuple(inst.source_stream, now);
     ++tuples_emitted_;
-    for (const Consumer& c : inst.consumers) send(now, inst.node, t, c, id);
+    emit(now, id, t);
   }
   const double rate = source_rate(inst.source_stream, now);
   const double gap = cfg_.poisson ? prng_.exponential(rate) : 1.0 / rate;
-  schedule(Event{now + gap, next_seq_++, id, -1, nullptr, {}});
+  schedule(Event{now + gap, next_seq_++, id, kEmitPort, nullptr, {}});
 }
 
 double Simulation::source_rate(query::StreamId s, double now) const {
@@ -1075,27 +1037,22 @@ void Simulation::arrive_at(double now, InstanceId id, int port,
   if (inst.kind == Kind::kSink) {
     ++inst.delivered;
     inst.latency_sum_s += now - tuple->born;
-    for (const Consumer& c : inst.consumers) {
-      send(now, inst.node, tuple, c, id);
-    }
+    emit(now, id, tuple);
     return;
   }
   if (inst.kind == Kind::kFilter) {
-    // Reliable mode decides by content hash instead of the shared Prng
-    // stream, so the decision is identical for a tuple however (and however
-    // often) it arrives — a precondition for the exactly-once contract.
-    const bool pass = cfg_.reliability.enabled
-                          ? hash_pass(*tuple, id, inst.pass_probability)
-                          : prng_.chance(inst.pass_probability);
-    if (pass) {
-      for (const Consumer& c : inst.consumers) {
-        send(now, inst.node, tuple, c, id);
-      }
-    }
+    // Decided by content hash, so the decision is identical for a tuple
+    // however (and however often) it arrives — a precondition for the
+    // exactly-once contract.
+    if (hash_pass(*tuple, id, inst.pass_probability)) emit(now, id, tuple);
     return;
   }
   if (inst.kind == Kind::kAggregate) {
-    // Group assignment: hash of the tuple's join keys.
+    // Event-time tumbling windows with a lateness watermark: a window
+    // flushes once max-born has moved `lateness_s` past its end, so delayed
+    // tuples still land in their window and both the flush set and the
+    // per-window group sets are delivery-schedule independent. Groups are
+    // assigned by hashing the tuple's join keys.
     std::uint64_t h = 1469598103934665603ULL;
     for (std::uint32_t k : tuple->keys) {
       h = (h ^ k) * 1099511628211ULL;
@@ -1103,102 +1060,51 @@ void Simulation::arrive_at(double now, InstanceId id, int port,
     const auto groups =
         std::max<std::uint64_t>(1, static_cast<std::uint64_t>(
                                        std::llround(inst.aggregation.groups)));
-    if (cfg_.reliability.enabled) {
-      // Event-time tumbling windows with a lateness watermark: a window
-      // flushes once max-born has moved `lateness_s` past its end, so
-      // retransmit-delayed tuples still land in their window and both the
-      // flush set and the per-window group sets are delivery-schedule
-      // independent.
-      inst.max_born = std::max(inst.max_born, tuple->born);
-      const double win = inst.aggregation.window_s;
-      const auto w = static_cast<std::int64_t>(std::floor(tuple->born / win));
-      inst.agg_windows[w].insert(h % groups);
-      const double watermark = inst.max_born - cfg_.reliability.lateness_s;
-      while (!inst.agg_windows.empty()) {
-        const auto first = inst.agg_windows.begin();
-        const double end = static_cast<double>(first->first + 1) * win;
-        if (end > watermark) break;
-        for (std::uint64_t group : first->second) {
-          auto out = std::make_shared<Tuple>();
-          out->born = end;  // event time, not flush time
-          out->constituents = inst.streams;
-          out->keys.assign(inst.streams.size() * catalog_->stream_count(),
-                           static_cast<std::uint32_t>(group));
-          out->width = inst.aggregation.out_width;
-          for (const Consumer& c : inst.consumers) {
-            send(now, inst.node, out, c, id);
-          }
-        }
-        inst.agg_windows.erase(first);
+    inst.max_born = std::max(inst.max_born, tuple->born);
+    const double win = inst.aggregation.window_s;
+    const auto w = static_cast<std::int64_t>(std::floor(tuple->born / win));
+    inst.agg_windows[w].insert(h % groups);
+    const double watermark = inst.max_born - cfg_.reliability.lateness_s;
+    while (!inst.agg_windows.empty()) {
+      const auto first = inst.agg_windows.begin();
+      const double end = static_cast<double>(first->first + 1) * win;
+      if (end > watermark) break;
+      for (std::uint64_t group : first->second) {
+        auto out = std::make_shared<Tuple>();
+        out->born = end;  // event time, not flush time
+        out->constituents = inst.streams;
+        out->keys.assign(inst.streams.size() * catalog_->stream_count(),
+                         static_cast<std::uint32_t>(group));
+        out->width = inst.aggregation.out_width;
+        emit(now, id, out);
       }
-      return;
+      inst.agg_windows.erase(first);
     }
-    const auto w = static_cast<std::int64_t>(now / inst.aggregation.window_s);
-    if (w != inst.window_index) {
-      // Window closed: one output tuple per non-empty group.
-      if (inst.window_index >= 0) {
-        for (std::uint64_t group : inst.groups_seen) {
-          auto out = std::make_shared<Tuple>();
-          out->born = now;
-          out->constituents = inst.streams;
-          out->keys.assign(inst.streams.size() * catalog_->stream_count(),
-                           static_cast<std::uint32_t>(group));
-          out->width = inst.aggregation.out_width;
-          for (const Consumer& c : inst.consumers) {
-            send(now, inst.node, out, c, id);
-          }
-        }
-      }
-      inst.groups_seen.clear();
-      inst.window_index = w;
-    }
-    inst.groups_seen.insert(h % groups);
     return;
   }
   IFLOW_CHECK(inst.kind == Kind::kJoin);
   IFLOW_CHECK(port == 0 || port == 1);
   const int other = 1 - port;
-  if (cfg_.reliability.enabled) {
-    // Event-time join: window entries are keyed by born, a pair matches iff
-    // their borns lie within window_s, and partners are retained an extra
-    // lateness_s so a retransmit-delayed tuple still meets everything it
-    // would have met loss-free. Each qualifying pair emits exactly once —
-    // when its later-arriving member probes (channel dedup guarantees each
-    // member arrives once).
-    inst.max_born = std::max(inst.max_born, tuple->born);
-    const double horizon =
-        inst.max_born - cfg_.window_s - cfg_.reliability.lateness_s;
-    for (auto* w : {&inst.window[0], &inst.window[1]}) {
-      while (!w->empty() && w->front().first < horizon) {
-        w->pop_front();
-      }
-    }
-    for (const auto& [born, candidate] : inst.window[other]) {
-      if (std::abs(born - tuple->born) > cfg_.window_s) continue;
-      if (!matches(*tuple, *candidate)) continue;
-      const TuplePtr joined = join_tuples(*tuple, *candidate);
-      for (const Consumer& c : inst.consumers) {
-        send(now, inst.node, joined, c, id);
-      }
-    }
-    inst.window[port].emplace_back(tuple->born, tuple);
-    return;
-  }
-  // Expire both windows, probe the opposite one, emit matches, store self.
+  // Event-time join: window entries are keyed by born, a pair matches iff
+  // their borns lie within window_s, and partners are retained an extra
+  // lateness_s so a delayed tuple still meets everything it would have met
+  // on time. Each qualifying pair emits exactly once — when its
+  // later-arriving member probes (each member arrives once: channel dedup
+  // with reliability on, a single transmission with it off).
+  inst.max_born = std::max(inst.max_born, tuple->born);
+  const double horizon =
+      inst.max_born - cfg_.window_s - cfg_.reliability.lateness_s;
   for (auto* w : {&inst.window[0], &inst.window[1]}) {
-    while (!w->empty() && w->front().first < now - cfg_.window_s) {
+    while (!w->empty() && w->front().first < horizon) {
       w->pop_front();
     }
   }
-  for (const auto& [when, candidate] : inst.window[other]) {
-    (void)when;
+  for (const auto& [born, candidate] : inst.window[other]) {
+    if (std::abs(born - tuple->born) > cfg_.window_s) continue;
     if (!matches(*tuple, *candidate)) continue;
-    const TuplePtr joined = join_tuples(*tuple, *candidate);
-    for (const Consumer& c : inst.consumers) {
-      send(now, inst.node, joined, c, id);
-    }
+    emit(now, id, join_tuples(*tuple, *candidate));
   }
-  inst.window[port].emplace_back(now, tuple);
+  inst.window[port].emplace_back(tuple->born, tuple);
 }
 
 void Simulation::run() {
@@ -1226,31 +1132,24 @@ void Simulation::run() {
       // Operator state (queues included) survives short crashes: the
       // process restarts with its state, so service completions always run.
       handle_service(e.time, e.instance);
-    } else if (e.port == kAckPort) {
-      if (fnet_) {
-        // In-flight acks die with the links/nodes they were crossing; the
-        // sender will retransmit and the receiver re-ack.
-        bool dropped = !fnet_->node_alive(instances_[e.instance].node);
-        for (std::uint32_t li : e.links) dropped |= !fnet_->usable(li);
-        if (dropped) continue;
-      }
-      handle_ack(e.time, e.channel, e.tseq);
-    } else if (e.port < 0) {
+    } else if (e.port == kEmitPort) {
       emit_from_source(e.time, e.instance);
     } else {
+      // A data tuple or an ack in flight. Either dies with the links/nodes
+      // it was crossing; the sender (with reliability on) retransmits and
+      // the receiver re-acks.
       if (fnet_) {
-        // In-flight tuples die with the links/nodes they were crossing.
         bool dropped = !fnet_->node_alive(instances_[e.instance].node);
         for (std::uint32_t li : e.links) dropped |= !fnet_->usable(li);
         if (dropped) {
-          ++tuples_dropped_;
+          if (e.port != kAckPort) ++tuples_dropped_;
           continue;
         }
       }
-      if (e.channel != kNoChannel) {
-        receive(e.time, e.channel, e.tseq, e.port, e.tuple);
+      if (e.port == kAckPort) {
+        handle_ack(e.time, e.channel, e.tseq);
       } else {
-        arrive_at(e.time, e.instance, e.port, e.tuple);
+        receive(e.time, e.channel, e.tseq, e.port, e.tuple);
       }
     }
   }
@@ -1320,7 +1219,9 @@ std::uint64_t Simulation::tuples_delivered(query::QueryId q) const {
 }
 
 double Simulation::delivered_rate(query::QueryId q) const {
-  return static_cast<double>(tuples_delivered(q)) / cfg_.duration_s;
+  // Over the emission span: results still settling in the drain window
+  // were produced by emissions before it.
+  return static_cast<double>(tuples_delivered(q)) / emission_end();
 }
 
 double Simulation::availability(query::QueryId q) const {
@@ -1356,13 +1257,8 @@ DeliveryStats Simulation::delivery_stats(query::QueryId q) const {
       s.max_queue_depth = std::max(s.max_queue_depth, inst.max_queue_depth);
     }
   }
-  // Goodput over the emission window (sources go quiet during the drain).
-  const double horizon = cfg_.reliability.enabled
-                             ? cfg_.duration_s - cfg_.reliability.drain_s
-                             : cfg_.duration_s;
-  if (horizon > 0.0) {
-    s.goodput_tps = static_cast<double>(s.delivered) / horizon;
-  }
+  // Goodput over the emission span (sources go quiet during the drain).
+  s.goodput_tps = static_cast<double>(s.delivered) / emission_end();
   return s;
 }
 

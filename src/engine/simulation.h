@@ -11,11 +11,18 @@
 // to the optimizer's analytic deployment cost; integration tests assert
 // they agree.
 //
-// Join semantics: both inputs keep a sliding window of `window_s` seconds; a
-// new tuple probes the opposite window and emits one output per matching
-// pair, so a pair matches iff it arrives within `window_s` of each other.
-// With window_s = 0.5 the expected output rate of A ⋈ B is
+// Join semantics (event time): a pair matches iff the emission times of its
+// freshest constituents (Tuple::born) lie within `window_s` of each other.
+// A new tuple probes the opposite input's window and emits one output per
+// matching pair; windows retain partners `lateness_s` beyond `window_s`, so
+// a delayed tuple still meets everything it would have met on time. With
+// window_s = 0.5 the expected output rate of A ⋈ B is
 // rate_A x rate_B x selectivity — exactly the analytic RateModel.
+//
+// Data plane: every data edge is a channel. Filters decide by content hash
+// and aggregates close event-time windows, so results do not depend on the
+// delivery schedule. ReliabilityConfig::enabled only adds acks,
+// retransmit timers and a sliding window on top of the channels.
 //
 // Operator sharing: a Deployment leaf unit marked `derived` binds to the
 // operator of an earlier deployment producing the same stream set at the
@@ -96,7 +103,8 @@ struct CheckpointConfig {
   /// Coordinated snapshots + rollback recovery + warm migration state.
   bool enabled = false;
   /// Crashes wipe on-node operator state (join/aggregate windows, queues).
-  /// Off by default: the legacy model assumes short crashes keep state.
+  /// Off by default: short crashes keep operator state (the process
+  /// restarts with it).
   bool volatile_state = false;
   /// Barrier period; one epoch is in flight at a time.
   double interval_s = 5.0;
@@ -132,17 +140,23 @@ enum class OverflowPolicy : std::uint8_t {
   kDropNewest,    // shed the arriving tuple (load shedding at the door)
 };
 
-/// Parameters of the reliable delivery layer (ack/retransmit, bounded
-/// queues, replay buffers). Disabled by default: the legacy fire-and-forget
-/// data plane remains the model-validation baseline.
+/// Parameters of the channel transport: reliable delivery (ack/retransmit,
+/// replay buffers), bounded operator queues and event-time slack.
 ///
-/// Determinism contract: with `enabled`, the data plane draws loss and
-/// jitter from a dedicated Prng stream and replaces the order-sensitive
-/// randomness of operators (filter passes) with content hashes, so two runs
-/// of the same seed that differ only in link loss/jitter emit the same
-/// source tuples and — provided every delivery delay stays under
-/// `lateness_s` and nothing exhausts the retry budget — deliver the same
-/// per-query result counts (at-least-once + dedup = exactly-once).
+/// `enabled` adds acks, retransmit timers and the sliding window, nothing
+/// else. Off (the default), each tuple is transmitted once: whatever a dead
+/// node, a partition or a lossy hop drops counts in tuples_dropped(), and
+/// nothing is retransmitted, acked or deduplicated. Bounded queues and
+/// `lateness_s` apply in both modes; drain_s and the ack, retry and window
+/// fields take effect only with `enabled`, and kBackpressure requires it.
+///
+/// Determinism contract: the transport draws loss and jitter from a
+/// dedicated Prng stream and operators decide by content hash and event
+/// time, so two runs of the same seed that differ only in link loss/jitter
+/// emit the same source tuples and — with `enabled`, provided every
+/// delivery delay stays under `lateness_s` and nothing exhausts the retry
+/// budget — deliver the same per-query result counts (at-least-once +
+/// dedup = exactly-once).
 struct ReliabilityConfig {
   bool enabled = false;
   /// Initial retransmit timeout; doubles (capped) on every retry.
@@ -156,21 +170,24 @@ struct ReliabilityConfig {
   std::size_t window = 64;
   /// Bounded input queue capacity per operator; 0 = unbounded. Only
   /// meaningful with service_s > 0 (instantaneous operators never queue).
+  /// kBackpressure requires `enabled`: a refused tuple needs a retransmit.
   std::size_t queue_capacity = 0;
   OverflowPolicy overflow = OverflowPolicy::kBackpressure;
   /// Per-tuple processing time of non-source operators.
   double service_s = 0.0;
-  /// Event-time slack: joins retain partners and aggregates hold windows
-  /// open this much longer, so tuples delayed by retransmission still meet
-  /// the partners they would have met loss-free.
+  /// Event-time slack (both modes): joins retain partners and aggregates
+  /// hold windows open this much longer, so tuples delayed by
+  /// retransmission or queueing still meet the partners they would have
+  /// met on time.
   double lateness_s = 3.0;
-  /// Sources stop emitting this long before the horizon so in-flight and
-  /// retransmitted tuples settle; keep drain_s > lateness_s.
+  /// With `enabled`, sources stop emitting this long before the horizon so
+  /// in-flight and retransmitted tuples settle; keep drain_s > lateness_s.
   double drain_s = 5.0;
 };
 
-/// Per-channel reliability telemetry (reliable mode only) — the health
-/// plane's raw signal. Every counter is per producer→consumer data edge:
+/// Per-channel transport telemetry — the health plane's raw signal (RTT
+/// samples need acks, so reliability on). Every counter is per
+/// producer→consumer data edge:
 /// ack round-trip samples measured against the clean-network expectation
 /// (propagation + serialisation + ack return with no degradation, no
 /// jitter, no queueing), retransmission counts, and the cost-optimal path
@@ -192,14 +209,16 @@ struct ChannelTelemetry {
   std::size_t max_queue_depth = 0;   // consumer's input-queue high-water
 };
 
-/// Per-query delivery-semantics accounting (reliable mode only).
+/// Per-query delivery-semantics accounting. With reliability off nothing is
+/// retransmitted, so lost, duplicates, retransmits and retransmit_bytes
+/// stay zero (undelivered tuples count in Simulation::tuples_dropped()).
 struct DeliveryStats {
   std::uint64_t delivered = 0;    // results accepted at the sink
   std::uint64_t shed = 0;         // dropped by queue overflow policy
   std::uint64_t lost = 0;         // lost after exhausting the retry budget
   std::uint64_t duplicates = 0;   // retransmit duplicates suppressed
   std::uint64_t retransmits = 0;  // retransmissions sent
-  double goodput_tps = 0.0;       // delivered results per second
+  double goodput_tps = 0.0;  // delivered results per emission-span second
   double data_bytes = 0.0;        // link bytes of first transmissions
   double retransmit_bytes = 0.0;  // link bytes of retransmissions
   std::size_t max_queue_depth = 0;
@@ -214,8 +233,8 @@ struct DeliveryStats {
 
 struct EngineConfig {
   double duration_s = 30.0;
-  /// Sliding window of the symmetric hash joins. 0.5 s makes measured join
-  /// rates match the analytic model (see file comment).
+  /// Event-time window of the symmetric hash joins. 0.5 s makes measured
+  /// join rates match the analytic model (see file comment).
   double window_s = 0.5;
   /// Poisson arrivals when true; evenly spaced (with a random phase)
   /// otherwise — useful for low-variance model-validation runs.
@@ -287,7 +306,8 @@ class Simulation {
 
   std::uint64_t tuples_delivered(query::QueryId q) const;
 
-  /// Delivered result tuples per second for a query.
+  /// Delivered result tuples per second of the emission span (the run,
+  /// minus the drain window with reliability on).
   double delivered_rate(query::QueryId q) const;
 
   std::uint64_t tuples_emitted() const { return tuples_emitted_; }
@@ -307,17 +327,19 @@ class Simulation {
   /// node or some data edge unroutable — during the run.
   double downtime_s(query::QueryId q) const;
 
-  /// Tuples dropped at dead nodes or on severed links.
+  /// Dropped data transmissions. With reliability off: every one not
+  /// delivered (dead node, severed link, lossy hop). With it on: those
+  /// whose link or destination died in flight; the sender retransmits
+  /// every undelivered one (see DeliveryStats::lost).
   std::uint64_t tuples_dropped() const { return tuples_dropped_; }
 
-  /// Delivery-semantics accounting for a query (reliable mode; zeros
-  /// otherwise). Shed counts and queue depths of operators shared between
-  /// queries are attributed to the query that deployed them first.
+  /// Delivery-semantics accounting for a query. Shed counts and queue
+  /// depths of operators shared between queries are attributed to the
+  /// query that deployed them first.
   DeliveryStats delivery_stats(query::QueryId q) const;
 
-  /// Per-channel reliability telemetry, one entry per data edge in channel
-  /// creation order (reliable mode; empty otherwise). Feed to
-  /// HealthMonitor::observe.
+  /// Per-channel transport telemetry, one entry per data edge in channel
+  /// creation order. Feed to HealthMonitor::observe.
   std::vector<ChannelTelemetry> channel_telemetry() const;
 
   /// Checkpoint-plane accounting (zeros when cfg.checkpoint disabled).
@@ -326,22 +348,15 @@ class Simulation {
  private:
   using InstanceId = std::uint32_t;
 
+  /// Channel index of events that belong to no channel (source emission,
+  /// faults, service completions, barriers).
   static constexpr std::uint32_t kNoChannel =
       std::numeric_limits<std::uint32_t>::max();
 
-  struct Consumer {
-    InstanceId instance;
-    int port;  // 0/1 for joins; ignored for sinks
-    /// Query whose deployment created this data edge (stats attribution).
-    query::QueryId query = 0;
-    /// Reliable-mode channel index, kNoChannel in the legacy data plane.
-    std::uint32_t channel = kNoChannel;
-  };
-
-  /// Reliable-mode state of one producer->consumer data edge: sender-side
-  /// sequence numbers, the un-acked in-flight set (which doubles as the
-  /// ack-trimmed replay buffer), the sliding-window backlog, and the
-  /// receiver-side dedup set.
+  /// State of one producer->consumer data edge: sender-side sequence
+  /// numbers and, with reliability on, the un-acked in-flight set (which
+  /// doubles as the ack-trimmed replay buffer), the sliding-window backlog,
+  /// and the receiver-side dedup set.
   struct PendingTuple {
     TuplePtr tuple;
     int retries = 0;
@@ -354,7 +369,8 @@ class Simulation {
   struct Channel {
     InstanceId producer = 0;
     InstanceId consumer = 0;
-    int port = 0;
+    int port = 0;  // 0/1 for joins; 0 otherwise
+    /// Query whose deployment created this data edge (stats attribution).
     query::QueryId query = 0;
     std::uint64_t next_seq = 0;
     std::unordered_map<std::uint64_t, PendingTuple> pending;
@@ -403,7 +419,7 @@ class Simulation {
     Kind kind;
     net::NodeId node = net::kInvalidNode;
     std::vector<query::StreamId> streams;  // output stream set, sorted
-    std::vector<Consumer> consumers;
+    std::vector<std::uint32_t> outputs;    // channels of its data edges
     // Join state.
     std::deque<std::pair<double, TuplePtr>> window[2];
     // Source state.
@@ -412,12 +428,11 @@ class Simulation {
     // (query filter predicates are on non-join attributes, so passing is
     // independent of the synthetic join keys).
     double pass_probability = 1.0;
-    // Aggregate state: tumbling window; groups are derived by hashing the
-    // tuple's join keys. One output tuple per non-empty group per window;
-    // the final partial window is not flushed (no terminating watermark).
+    // Aggregate state: event-time tumbling windows (agg_windows below);
+    // groups are derived by hashing the tuple's join keys. One output tuple
+    // per non-empty group per window; windows the watermark never passes
+    // are not flushed (no terminating watermark).
     query::Aggregation aggregation;
-    std::int64_t window_index = -1;
-    std::set<std::uint64_t> groups_seen;
     // Sink state.
     query::QueryId query = 0;
     std::uint64_t delivered = 0;
@@ -426,15 +441,15 @@ class Simulation {
     std::uint64_t tuples_in = 0;
     std::uint64_t tuples_sent = 0;
     double bytes_sent = 0.0;
-    // Reliable-mode state.
     query::QueryId owner = 0;  // query whose deploy created this instance
-    std::deque<std::pair<int, TuplePtr>> inbox;  // bounded input queue
+    // Bounded input queue (ReliabilityConfig::queue_capacity/service_s).
+    std::deque<std::pair<int, TuplePtr>> inbox;
     bool busy = false;          // a service completion event is scheduled
     std::size_t max_queue_depth = 0;
     std::uint64_t shed = 0;     // dropped by the overflow policy
     // Event-time watermark input: max born seen across all inputs.
     double max_born = -std::numeric_limits<double>::infinity();
-    // Event-time aggregate windows (reliable mode): window index -> groups.
+    // Event-time aggregate windows: window index -> groups.
     std::map<std::int64_t, std::set<std::uint64_t>> agg_windows;
     // Checkpoint plane: snapshotted in the epoch currently in flight.
     bool snapped = false;
@@ -444,8 +459,6 @@ class Simulation {
   struct InstState {
     std::deque<std::pair<double, TuplePtr>> window[2];
     double max_born = -std::numeric_limits<double>::infinity();
-    std::int64_t window_index = -1;
-    std::set<std::uint64_t> groups_seen;
     std::map<std::int64_t, std::set<std::uint64_t>> agg_windows;
     std::deque<std::pair<int, TuplePtr>> inbox;
     std::uint64_t delivered = 0;
@@ -472,8 +485,8 @@ class Simulation {
     /// Link indices the tuple traversed (charged at send time); the arrival
     /// is dropped if any of them died while the tuple was in flight.
     std::vector<std::uint32_t> links;
-    /// Reliable-mode routing: which channel the event belongs to (data,
-    /// ack, timeout) and the channel sequence number it refers to.
+    /// Which channel the event belongs to (data, ack, timeout) and the
+    /// channel sequence number it refers to.
     std::uint32_t channel = kNoChannel;
     std::uint64_t tseq = 0;
     /// Channel incarnation the event was stamped with; a rollback bumps
@@ -484,6 +497,7 @@ class Simulation {
     }
   };
 
+  static constexpr int kEmitPort = -1;   // source self-emission
   static constexpr int kFaultPort = -2;
   static constexpr int kAckPort = -3;      // ack arriving back at the sender
   static constexpr int kTimeoutPort = -4;  // retransmit timer firing
@@ -506,20 +520,46 @@ class Simulation {
                            net::NodeId node) const;
   void register_producer(const std::vector<query::StreamId>& streams,
                          net::NodeId node, InstanceId id);
-  /// Ships a tuple to a consumer: charges bytes to every link on the
-  /// cost-optimal route and schedules the arrival event.
-  static constexpr InstanceId kNoProducer =
-      std::numeric_limits<InstanceId>::max();
-  void send(double now, net::NodeId from, const TuplePtr& tuple,
-            const Consumer& to, InstanceId producer);
+  /// Ships `tuple` over every output channel of instance `id`.
+  void emit(double now, InstanceId id, const TuplePtr& tuple);
   void schedule(Event e);
+  /// Sources emit before this time: the horizon, or the start of the drain
+  /// window with reliability on.
+  double emission_end() const;
   void emit_from_source(double now, InstanceId id);
   void arrive_at(double now, InstanceId id, int port, const TuplePtr& tuple);
   void apply_fault(double now, const SimFault& f);
-  // Reliable data plane (cfg_.reliability.enabled).
+  /// Operators have bounded input queues (queue_capacity and service_s).
+  bool bounded_queues() const {
+    return cfg_.reliability.queue_capacity > 0 &&
+           cfg_.reliability.service_s > 0.0;
+  }
+  // Channel transport.
+  /// Outcome of one route walk.
+  struct Walk {
+    bool delivered = false;  // false: dead dest, partition or lossy hop
+    double arrive = 0.0;
+    double clean_rtt_s = 0.0;  // data path + ack return, no degradation
+    std::vector<std::uint32_t> links;  // link indices crossed
+  };
+  /// One pass over the cost-optimal from→dest route at `now`: charges
+  /// `width` bytes to each link crossed (and to `*channel_bytes`), folds
+  /// degradation, and draws loss and jitter from net_prng_ hop by hop.
+  Walk walk(double now, net::NodeId from, net::NodeId dest, double width,
+            double* channel_bytes);
   void channel_send(double now, std::uint32_t ch, const TuplePtr& tuple);
+  /// One transmission of `tuple` as sequence `seq`: walks the route and
+  /// schedules the arrival unless the walk dropped it.
+  Walk ship(double now, std::uint32_t ch, std::uint64_t seq,
+            const TuplePtr& tuple, bool is_retransmit);
+  // Reliability (cfg_.reliability.enabled): acks, timers, the window.
+  /// Assigns the next sequence to `tuple`, buffers it and transmits it.
+  void send_new(double now, std::uint32_t ch, const TuplePtr& tuple);
   void transmit(double now, std::uint32_t ch, std::uint64_t seq,
                 bool is_retransmit);
+  /// Records a delivered sequence in the dedup state and acks it (no-op
+  /// with reliability off).
+  void acknowledge(double now, std::uint32_t ch, std::uint64_t seq);
   void send_ack(double now, std::uint32_t ch, std::uint64_t seq);
   void handle_ack(double now, std::uint32_t ch, std::uint64_t seq);
   void handle_timeout(double now, std::uint32_t ch, std::uint64_t seq);
@@ -547,9 +587,9 @@ class Simulation {
   /// `now`. Identity when nothing on the hop is degraded.
   void hop_degradation(const net::Link& link, double now, double* extra_loss,
                        double* slowdown) const;
-  /// Deterministic content-hash replacement for prng_.chance in reliable
-  /// mode: the pass/fail decision depends only on the tuple and the filter
-  /// instance, so it is identical across lossy and loss-free runs.
+  /// Deterministic content-hash filter decision: pass/fail depends only on
+  /// the tuple and the filter instance, so it is identical across lossy and
+  /// loss-free runs.
   bool hash_pass(const Tuple& t, InstanceId id, double p) const;
   void update_watches(double now);
   const net::Network& cur_net() const { return fnet_ ? *fnet_ : *net_; }

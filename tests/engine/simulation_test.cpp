@@ -409,6 +409,20 @@ TEST(SimulationReliabilityTest, LossyRunDeliversLossFreeCounts) {
   EXPECT_EQ(clean.delivery_stats(clean_rig.q.id).retransmits, 0u);
 }
 
+TEST(SimulationReliabilityTest, LossFreeRunHasFullAvailability) {
+  // Availability is measured over the emission span: the drain window at
+  // the end of a reliable run emits nothing, so it must not count against
+  // the delivered rate.
+  FaultRig r;
+  query::RateModel rates(r.catalog, r.q);
+  Simulation sim(r.net, r.rt, r.catalog, reliable_config(), 7);
+  sim.deploy(r.d, rates);
+  sim.run();
+  EXPECT_NEAR(sim.availability(r.q.id), 1.0, 0.05);
+  EXPECT_NEAR(sim.delivered_rate(r.q.id), 50.0, 2.5);
+  EXPECT_EQ(sim.delivery_stats(r.q.id).lost, 0u);
+}
+
 TEST(SimulationReliabilityTest, ReplayAfterLinkFlapLosesNothing) {
   FaultRig clean_rig;
   query::RateModel clean_rates(clean_rig.catalog, clean_rig.q);
@@ -527,6 +541,40 @@ TEST(SimulationReliabilityTest, DropPoliciesShedExactlyTheOverload) {
   EXPECT_NEAR(static_cast<double>(oldest.shed),
               static_cast<double>(newest.shed),
               0.2 * static_cast<double>(newest.shed));
+}
+
+TEST(SimulationReliabilityTest, ReliabilityOffDropsOnLossyLinks) {
+  // Without reliability a channel transmits each tuple once: a lossy hop
+  // drops it for good, and nothing is retransmitted or deduplicated.
+  FaultRig r;
+  r.net.set_link_loss(0, 1, 0.08);
+  query::RateModel rates(r.catalog, r.q);
+  Simulation sim(r.net, r.rt, r.catalog, low_variance_config(30.0), 7);
+  sim.deploy(r.d, rates);
+  sim.run();
+  const DeliveryStats ds = sim.delivery_stats(r.q.id);
+  EXPECT_GT(sim.tuples_dropped(), 0u);
+  EXPECT_EQ(ds.retransmits, 0u);
+  EXPECT_EQ(ds.duplicates, 0u);
+  EXPECT_EQ(ds.lost, 0u);
+  // Every emitted tuple is delivered or dropped, bar at most one still in
+  // flight at the horizon (50 t/s evenly spaced, a few ms of latency).
+  EXPECT_LE(ds.delivered + sim.tuples_dropped(), sim.tuples_emitted());
+  EXPECT_GE(ds.delivered + sim.tuples_dropped() + 1, sim.tuples_emitted());
+}
+
+TEST(SimulationReliabilityTest, BackpressureRequiresReliability) {
+  // A refused tuple is replayed only by the sender's retransmit timer;
+  // without one, backpressure would lose it silently.
+  FaultRig r;
+  EngineConfig cfg = low_variance_config();
+  cfg.reliability.queue_capacity = 4;
+  cfg.reliability.service_s = 0.015;
+  cfg.reliability.overflow = OverflowPolicy::kBackpressure;
+  EXPECT_THROW(Simulation(r.net, r.rt, r.catalog, cfg, 7), CheckError);
+  // Shedding policies need no retransmitter.
+  cfg.reliability.overflow = OverflowPolicy::kDropNewest;
+  EXPECT_NO_THROW(Simulation(r.net, r.rt, r.catalog, cfg, 7));
 }
 
 TEST(SimulationFaultTest, CrashedSourcePausesEmission) {
