@@ -54,8 +54,10 @@ struct TenantQuota {
 };
 
 struct AdmissionConfig {
-  /// Per-node input-byte capacity (same semantics as
-  /// Middleware::set_node_capacity). <= 0 = unlimited.
+  /// Per-node processing capacity: the total operator INPUT byte rate a
+  /// node may host (the paper's §1.1: "node N2 may be overloaded"). Both
+  /// admission pricing and Middleware::rebalance_load() use it. <= 0 =
+  /// unlimited.
   double node_capacity = 0.0;
   /// Fraction of each link's bandwidth (bandwidth_bps / 8, i.e. bytes/s)
   /// admission may fill. <= 0 = link capacity not enforced (default:

@@ -325,9 +325,7 @@ void digest_line(std::ostringstream& os, std::size_t step,
     os << e.a;
     if (e.b != net::kInvalidNode) os << '-' << e.b;
   }
-  os << " cost " << std::hexfloat << total_cost << std::defaultfloat
-     << " active " << mw.active_queries() << " suspended "
-     << mw.suspended_queries() << " viol " << violations << '\n';
+  harness::digest_tail(os, mw, total_cost, violations);
 }
 
 /// Replays a script verbatim, checking applicability as it goes and
@@ -402,11 +400,9 @@ ChaosReport run_impl(net::Network net, query::Catalog catalog,
   ChaosReport report;
   std::ostringstream digest;
 
-  Middleware mw(net, catalog, max_cs, algorithm, seed, cfg.drift_threshold);
-  mw.workspace().set_threads(cfg.threads);
-  for (const query::Query& q : queries) {
-    report.deploy_time_ms += mw.deploy(q).deploy_time_ms;
-  }
+  Middleware mw = harness::deploy_world(net, catalog, max_cs, algorithm, seed,
+                                        cfg.drift_threshold, cfg.threads,
+                                        queries, &report.deploy_time_ms);
 
   // Queue pressure applies to the post-churn delivery check; the last drawn
   // event wins.
@@ -508,10 +504,9 @@ ChaosReport run_impl(net::Network net, query::Catalog catalog,
   // same workload in the same order.
   net::Network fresh_net = mw.network();
   query::Catalog fresh_catalog = mw.catalog();
-  Middleware fresh(fresh_net, fresh_catalog, max_cs, algorithm, seed,
-                   cfg.drift_threshold);
-  fresh.workspace().set_threads(cfg.threads);
-  for (const query::Query& q : queries) fresh.deploy(q);
+  const Middleware fresh =
+      harness::deploy_world(fresh_net, fresh_catalog, max_cs, algorithm,
+                            seed, cfg.drift_threshold, cfg.threads, queries);
   report.fresh_cost = fresh.total_current_cost();
 
   // One-sided: the churned system must not end up much WORSE than a fresh
@@ -861,9 +856,7 @@ void reg_digest_line(std::ostringstream& os, std::size_t step,
       if (e.b != net::kInvalidNode) os << '-' << e.b;
       break;
   }
-  os << " cost " << std::hexfloat << total_cost << std::defaultfloat
-     << " active " << mw.active_queries() << " suspended "
-     << mw.suspended_queries() << " viol " << violations << '\n';
+  harness::digest_tail(os, mw, total_cost, violations);
 }
 
 RegistrationChurnReport run_registration_impl(
@@ -874,8 +867,8 @@ RegistrationChurnReport run_registration_impl(
   RegistrationChurnReport report;
   std::ostringstream digest;
 
-  Middleware mw(net, catalog, max_cs, algorithm, seed, cfg.drift_threshold);
-  mw.workspace().set_threads(cfg.threads);
+  Middleware mw = harness::deploy_world(net, catalog, max_cs, algorithm, seed,
+                                        cfg.drift_threshold, cfg.threads, {});
   AdmissionConfig ac;
   ac.node_capacity = cfg.node_capacity;
   ac.link_utilization_cap = cfg.link_utilization_cap;
@@ -1082,9 +1075,9 @@ RecoveryReport run_recovery(net::Network net, query::Catalog catalog,
   RecoveryReport report;
   std::ostringstream digest;
 
-  Middleware mw(net, catalog, max_cs, algorithm, seed);
-  mw.workspace().set_threads(cfg.threads);
-  for (const query::Query& q : queries) mw.deploy(q);
+  Middleware mw = harness::deploy_world(
+      net, catalog, max_cs, algorithm, seed,
+      Middleware::kDefaultDriftThreshold, cfg.threads, queries);
 
   const auto validate_after = [&](const std::vector<Redeployment>& reds) {
     report.violations += harness::validate_actives(
@@ -1128,10 +1121,9 @@ RecoveryReport run_recovery(net::Network net, query::Catalog catalog,
       held = n;
     }
     ++report.events;
-    digest << "recovery step " << i << ' ' << what << ' ' << n << " cost "
-           << std::hexfloat << mw.total_current_cost() << std::defaultfloat
-           << " active " << mw.active_queries() << " suspended "
-           << mw.suspended_queries() << " viol " << report.violations << '\n';
+    digest << "recovery step " << i << ' ' << what << ' ' << n;
+    harness::digest_tail(digest, mw, mw.total_current_cost(),
+                         report.violations);
   }
   if (down != net::kInvalidNode) validate_after(mw.restore_node(down));
   if (held != net::kInvalidNode) validate_after(mw.release_quarantine(held));

@@ -6,6 +6,28 @@
 
 namespace iflow::engine::harness {
 
+Middleware deploy_world(net::Network& net, query::Catalog& catalog,
+                        int max_cs, Algorithm algorithm, std::uint64_t seed,
+                        double drift_threshold, int threads,
+                        const std::vector<query::Query>& queries,
+                        double* deploy_time_ms) {
+  Middleware mw(net, catalog, max_cs, algorithm, seed, drift_threshold);
+  mw.workspace().set_threads(threads);
+  double total_ms = 0.0;
+  for (const query::Query& q : queries) {
+    total_ms += mw.deploy(q).deploy_time_ms;
+  }
+  if (deploy_time_ms != nullptr) *deploy_time_ms += total_ms;
+  return mw;
+}
+
+void digest_tail(std::ostream& os, const Middleware& mw, double total_cost,
+                 std::size_t violations) {
+  os << " cost " << std::hexfloat << total_cost << std::defaultfloat
+     << " active " << mw.active_queries() << " suspended "
+     << mw.suspended_queries() << " viol " << violations << '\n';
+}
+
 std::size_t validate_actives(Middleware& mw,
                              const std::unordered_set<query::QueryId>& replanned,
                              std::string* first_detail) {

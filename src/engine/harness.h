@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <ostream>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -14,6 +15,21 @@
 #include "engine/middleware.h"
 
 namespace iflow::engine::harness {
+
+/// The middleware a contract run starts from: built over `net` and
+/// `catalog` (both must outlive it), its planner pinned to `threads`
+/// workers, and `queries` deployed in order. The summed modeled deploy time
+/// is added to `*deploy_time_ms` when that is non-null.
+Middleware deploy_world(net::Network& net, query::Catalog& catalog,
+                        int max_cs, Algorithm algorithm, std::uint64_t seed,
+                        double drift_threshold, int threads,
+                        const std::vector<query::Query>& queries,
+                        double* deploy_time_ms = nullptr);
+
+/// Ends a contract transcript line with the state every harness digests:
+/// " cost <hexfloat> active N suspended N viol V\n".
+void digest_tail(std::ostream& os, const Middleware& mw, double total_cost,
+                 std::size_t violations);
 
 /// Validates every active deployment against the live planning environment
 /// (health penalty and excluded hosts included). Freshly re-planned queries

@@ -326,9 +326,9 @@ SubRun gray_run(net::Network net, query::Catalog catalog,
                 const GrayConfig& cfg,
                 const std::vector<net::NodeId>& targets, bool degrade,
                 bool detect, const char* tag) {
-  Middleware mw(net, catalog, max_cs, algorithm, seed);
-  mw.workspace().set_threads(cfg.threads);
-  for (const query::Query& q : queries) mw.deploy(q);
+  Middleware mw = harness::deploy_world(
+      net, catalog, max_cs, algorithm, seed,
+      Middleware::kDefaultDriftThreshold, cfg.threads, queries);
   if (degrade) {
     for (const net::NodeId n : targets) mw.degrade_node(n, cfg.degradation);
   }
@@ -405,9 +405,9 @@ GrayReport run_gray(const net::Network& net, const query::Catalog& catalog,
   {
     net::Network scratch_net = net;
     query::Catalog scratch_cat = catalog;
-    Middleware scout(scratch_net, scratch_cat, max_cs, algorithm, seed);
-    scout.workspace().set_threads(cfg.threads);
-    for (const query::Query& q : queries) scout.deploy(q);
+    const Middleware scout = harness::deploy_world(
+        scratch_net, scratch_cat, max_cs, algorithm, seed,
+        Middleware::kDefaultDriftThreshold, cfg.threads, queries);
     report.targets = pick_targets(queries, scout, cfg.targets, seed);
   }
 

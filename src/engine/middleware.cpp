@@ -102,14 +102,15 @@ bool Middleware::host_down(net::NodeId n) const {
              failed_nodes_.end();
 }
 
-bool Middleware::deployment_on_excluded(const query::Deployment& d) const {
-  const auto excluded = [this](net::NodeId n) {
-    return host_down(n) ||
-           std::find(overloaded_nodes_.begin(), overloaded_nodes_.end(), n) !=
-               overloaded_nodes_.end() ||
-           std::find(quarantined_nodes_.begin(), quarantined_nodes_.end(),
-                     n) != quarantined_nodes_.end();
+bool Middleware::excluded(net::NodeId n) const {
+  const auto listed = [n](const std::vector<net::NodeId>& nodes) {
+    return std::find(nodes.begin(), nodes.end(), n) != nodes.end();
   };
+  return host_down(n) || listed(overloaded_nodes_) ||
+         listed(quarantined_nodes_);
+}
+
+bool Middleware::deployment_on_excluded(const query::Deployment& d) const {
   for (const query::DeployedOp& op : d.ops) {
     if (excluded(op.node)) return true;
   }
@@ -117,6 +118,11 @@ bool Middleware::deployment_on_excluded(const query::Deployment& d) const {
     if (u.derived && excluded(u.location)) return true;
   }
   return false;
+}
+
+bool Middleware::acceptable(const opt::OptimizeResult& res) const {
+  return res.feasible && std::isfinite(res.actual_cost) &&
+         !deployment_on_excluded(res.deployment);
 }
 
 bool Middleware::endpoints_healthy(const query::Query& q) const {
@@ -236,19 +242,12 @@ opt::OptimizerEnv Middleware::env() {
   e.hierarchy = hierarchy_.get();
   e.registry = &registry_;
   e.reuse = true;
-  bool any_excluded = !failed_nodes_.empty() || !overloaded_nodes_.empty() ||
-                      !quarantined_nodes_.empty();
-  for (net::NodeId n = 0; n < net_->node_count() && !any_excluded; ++n) {
-    any_excluded = !net_->node_alive(n);
-  }
-  if (any_excluded) {
-    const auto excluded = [this](net::NodeId n) {
-      return host_down(n) ||
-             std::find(overloaded_nodes_.begin(), overloaded_nodes_.end(),
-                       n) != overloaded_nodes_.end() ||
-             std::find(quarantined_nodes_.begin(), quarantined_nodes_.end(),
-                       n) != quarantined_nodes_.end();
-    };
+  // An empty candidate set means every node may host, so the list is only
+  // built once some node is excluded (no allocation per planner call in
+  // the healthy common case).
+  net::NodeId first = 0;
+  while (first < net_->node_count() && !excluded(first)) ++first;
+  if (first < net_->node_count()) {
     for (net::NodeId n = 0; n < net_->node_count(); ++n) {
       if (!excluded(n)) e.processing_nodes.push_back(n);
     }
@@ -293,12 +292,68 @@ void Middleware::record_migration(query::QueryId q,
   state_migrations_.push_back(std::move(m));
 }
 
-void Middleware::on_migrated(Active& a, const query::Deployment& before) {
+double Middleware::current_cost(const Active& a) const {
+  query::RateModel rates(*catalog_, a.q);
+  return query::deployment_cost(a.deployment, rates, *routing_);
+}
+
+Redeployment Middleware::adopt(Active& a, opt::OptimizeResult res,
+                               double drifted_cost) {
+  Redeployment r;
+  r.query = a.q.id;
+  r.planned_cost = a.planned_cost;
+  r.drifted_cost = drifted_cost;
+  r.adapted_cost = res.actual_cost;
+  r.outcome = Outcome::kMigrated;
+  ledger_remove(a);
+  const query::Deployment before = std::move(a.deployment);
+  a.deployment = std::move(res.deployment);
+  a.planned_cost = res.actual_cost;
+  // Swap this query's advertisements in place; everyone else's stay warm
+  // (no full registry rebuild per event).
   registry_.remove_origin(a.q.id);
   query::RateModel rates(*catalog_, a.q);
   advert::advertise_deployment(registry_, a.deployment, rates);
   ledger_add(a);
   record_migration(a.q.id, before, a.deployment, /*warm=*/true);
+  // The query itself was just replanned to its optimum, so only the
+  // neighborhood that can see its new advertisements needs a settle visit.
+  mark_dirty_overlap(a.q);
+  return r;
+}
+
+Redeployment Middleware::suspend(std::size_t i, double drifted_cost,
+                                 int attempts) {
+  Active& a = active_[i];
+  Redeployment r;
+  r.query = a.q.id;
+  r.planned_cost = a.planned_cost;
+  r.drifted_cost = drifted_cost;
+  r.adapted_cost = kInf;
+  r.outcome = Outcome::kSuspended;
+  ledger_remove(a);
+  registry_.remove_origin(a.q.id);
+  suspended_.push_back(SuspendedQuery{std::move(a.q), a.planned_cost,
+                                      attempts});
+  active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(i));
+  return r;
+}
+
+void Middleware::activate(query::Query q, const opt::OptimizeResult& res,
+                          bool resumed) {
+  active_.push_back(Active{std::move(q), res.deployment, res.actual_cost, {}});
+  Active& a = active_.back();
+  query::RateModel rates(*catalog_, a.q);
+  advert::advertise_deployment(registry_, a.deployment, rates);
+  ledger_add(a);
+  // A new provider changes the reuse landscape for its stream neighborhood.
+  mark_dirty_overlap(a.q);
+  // Resume-from-suspension: a cold start by construction — whatever state
+  // the old placement had died with the suspension.
+  if (resumed) {
+    record_migration(a.q.id, query::Deployment{}, a.deployment,
+                     /*warm=*/false);
+  }
 }
 
 void Middleware::mark_dirty(query::QueryId id) {
@@ -369,9 +424,34 @@ void Middleware::debug_check_warm_state() const {
   IFLOW_CHECK_MSG(warm == fresh,
                   "warm registry diverged from rebuild: " << warm.size()
                   << " vs " << fresh.size() << " entries");
-  // Incremental node loads == from-scratch recompute.
+  debug_check_ledger();
+#endif
+}
+
+void Middleware::debug_check_ledger() const {
+#ifndef NDEBUG
+  // Incremental node loads == from-scratch recompute. Deployed operators
+  // keep carrying the current stream volumes (the data conditions may have
+  // moved since deployment, see set_stream_rate), so the recompute re-prices
+  // every input edge against the live RateModel rather than the plan-time
+  // snapshot recorded in the deployment.
+  std::vector<double> scratch(net_->node_count(), 0.0);
+  for (const Active& a : active_) {
+    const query::Deployment& d = a.deployment;
+    const query::RateModel rates(*catalog_, a.q);
+    for (const query::DeployedOp& op : d.ops) {
+      for (int child : {op.left, op.right}) {
+        const query::Mask m =
+            query::child_is_unit(child)
+                ? d.units[static_cast<std::size_t>(
+                              query::child_unit_index(child))]
+                      .mask
+                : d.ops[static_cast<std::size_t>(child)].mask;
+        scratch[op.node] += rates.bytes_rate(m);
+      }
+    }
+  }
   const std::vector<double>& inc = ledger_.node_load();
-  const std::vector<double> scratch = node_loads_recomputed();
   IFLOW_CHECK(inc.size() == scratch.size());
   for (std::size_t n = 0; n < inc.size(); ++n) {
     const double tol = 1e-6 * (1.0 + std::abs(scratch[n]));
@@ -429,25 +509,13 @@ std::unique_ptr<opt::Optimizer> Middleware::make_optimizer() {
 }
 
 opt::OptimizeResult Middleware::deploy(const query::Query& q) {
-  last_admission_ = AdmissionVerdict{};
   opt::OptimizeResult res;
   // Per-tenant query-count quota gates before any planning work.
   last_admission_ = admission_.precheck(q.tenant, ledger_);
-  if (last_admission_.decision == AdmissionDecision::kReject) {
-    res.feasible = false;
-    return res;
-  }
-  if (!endpoints_healthy(q)) {
-    suspended_.push_back(SuspendedQuery{q, 0.0, 0});
-    ledger_.count_query(q.tenant, +1);
-    res.feasible = false;
-    return res;
-  }
-  {
-    auto optimizer = make_optimizer();
-    res = optimizer->optimize(q);
-  }
-  if (!res.feasible || !std::isfinite(res.actual_cost)) {
+  if (last_admission_.decision == AdmissionDecision::kReject) return res;
+  if (endpoints_healthy(q)) res = make_optimizer()->optimize(q);
+  if (!acceptable(res)) {
+    // An endpoint is down or no usable plan exists right now: park it.
     suspended_.push_back(SuspendedQuery{q, 0.0, 0});
     ledger_.count_query(q.tenant, +1);
     res.feasible = false;
@@ -468,13 +536,9 @@ opt::OptimizeResult Middleware::deploy(const query::Query& q) {
       // Capacity rejection: one degraded attempt planning AROUND the
       // saturated hosts into the remaining headroom.
       admission_excluded_ = last_admission_.saturated_nodes;
-      opt::OptimizeResult degraded;
-      {
-        auto optimizer = make_optimizer();
-        degraded = optimizer->optimize(q);
-      }
+      opt::OptimizeResult degraded = make_optimizer()->optimize(q);
       admission_excluded_.clear();
-      if (degraded.feasible && std::isfinite(degraded.actual_cost)) {
+      if (acceptable(degraded)) {
         fp = footprint(degraded.deployment, rates, *routing_, *net_);
         const AdmissionVerdict second =
             admission_.price(fp, q.tenant, ledger_, *net_, /*degraded=*/true);
@@ -492,13 +556,8 @@ opt::OptimizeResult Middleware::deploy(const query::Query& q) {
       return res;
     }
   }
-  query::RateModel rates(*catalog_, q);
-  advert::advertise_deployment(registry_, res.deployment, rates);
-  active_.push_back(Active{q, res.deployment, res.actual_cost, {}});
-  ledger_add(active_.back());
   ledger_.count_query(q.tenant, +1);
-  // A new provider changes the reuse landscape for its stream neighborhood.
-  mark_dirty_overlap(q);
+  activate(q, res, /*resumed=*/false);
   return res;
 }
 
@@ -626,13 +685,11 @@ void Middleware::resume_pass(std::vector<Redeployment>& out) {
       ++i;
       continue;
     }
-    auto optimizer = make_optimizer();
-    const opt::OptimizeResult res = optimizer->optimize(s.q);
+    const opt::OptimizeResult res = make_optimizer()->optimize(s.q);
     // A resumed plan on an excluded host (the restricted search's
     // unrestricted fallback) counts as a failed attempt: staying parked
     // beats resuming onto a host the planner must avoid.
-    if (!res.feasible || !std::isfinite(res.actual_cost) ||
-        deployment_on_excluded(res.deployment)) {
+    if (!acceptable(res)) {
       ++s.attempts;
       ++resume_failures_total_;
       // After the k-th failure, skip the next 2^k - 1 eligible passes plus
@@ -653,21 +710,22 @@ void Middleware::resume_pass(std::vector<Redeployment>& out) {
     r.adapted_cost = res.actual_cost;
     r.outcome = Outcome::kResumed;
     out.push_back(r);
-    active_.push_back(
-        Active{std::move(s.q), res.deployment, res.actual_cost, {}});
-    query::RateModel rates(*catalog_, active_.back().q);
-    advert::advertise_deployment(registry_, active_.back().deployment, rates);
-    ledger_add(active_.back());
-    mark_dirty_overlap(active_.back().q);
-    // Resume-from-suspension: a cold start by construction — whatever state
-    // the old placement had died with the suspension.
-    record_migration(active_.back().q.id, query::Deployment{},
-                     active_.back().deployment, /*warm=*/false);
+    activate(std::move(s.q), res, /*resumed=*/true);
     suspended_.erase(suspended_.begin() + static_cast<std::ptrdiff_t>(i));
   }
 }
 
-std::vector<Redeployment> Middleware::reconcile(bool try_resume) {
+void Middleware::retry_suspended(std::vector<Redeployment>& out) {
+  // The world improved: everything suspended gets a fresh attempt budget
+  // (backoff clears with it) before the retry.
+  for (SuspendedQuery& s : suspended_) {
+    s.attempts = 0;
+    s.skip = 0;
+  }
+  resume_pass(out);
+}
+
+std::vector<Redeployment> Middleware::reconcile(bool recovered) {
   std::vector<Redeployment> out;
   // Fixpoint sweep: migrating (or suspending) one active can strand the
   // derived units of another that reuses its operators, so keep sweeping
@@ -683,44 +741,21 @@ std::vector<Redeployment> Middleware::reconcile(bool try_resume) {
         continue;
       }
       changed = true;
-      Redeployment r;
-      r.query = a.q.id;
-      r.planned_cost = a.planned_cost;
+      opt::OptimizeResult res;
+      if (healthy) res = replan(a);
       // The deployment is broken — a dead host, a severed edge or a
       // stranded reuse binding — so it is delivering nothing, whatever its
       // nominal cost would be.
-      r.drifted_cost = kInf;
-      opt::OptimizeResult res;
-      if (healthy) res = replan(a);
-      if (healthy && res.feasible && std::isfinite(res.actual_cost) &&
-          !deployment_on_excluded(res.deployment)) {
-        r.adapted_cost = res.actual_cost;
-        r.outcome = Outcome::kMigrated;
-        ledger_remove(a);
-        const query::Deployment before = std::move(a.deployment);
-        a.deployment = res.deployment;
-        a.planned_cost = res.actual_cost;
-        // Swap this query's advertisements in place; everyone else's stay
-        // warm (no full registry rebuild per event). The query itself was
-        // just replanned to its optimum, so only the neighborhood that can
-        // see its new advertisements needs a settle visit.
-        on_migrated(a, before);
-        mark_dirty_overlap(a.q);
+      if (acceptable(res)) {
+        out.push_back(adopt(a, std::move(res), kInf));
         ++i;
       } else {
-        r.adapted_cost = kInf;
-        r.outcome = Outcome::kSuspended;
-        ledger_remove(a);
-        registry_.remove_origin(a.q.id);
-        suspended_.push_back(
-            SuspendedQuery{std::move(a.q), a.planned_cost, 0});
-        active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(i));
+        out.push_back(suspend(i, kInf, 0));
       }
-      out.push_back(r);
     }
     if (!changed) break;
   }
-  if (try_resume) resume_pass(out);
+  if (recovered) retry_suspended(out);
   debug_check_warm_state();
   return out;
 }
@@ -769,12 +804,6 @@ std::vector<Redeployment> Middleware::restore_node(net::NodeId n) {
     Prng fork = Prng(seed_).fork(net_->version());
     hierarchy_->add_node(n, *routing_, fork);
   }
-  // Recovery resets the retry budget: everything suspended gets a fresh
-  // chance now that the world improved (backoff clears with it).
-  for (SuspendedQuery& s : suspended_) {
-    s.attempts = 0;
-    s.skip = 0;
-  }
   return reconcile(true);
 }
 
@@ -790,10 +819,6 @@ std::vector<Redeployment> Middleware::restore_link(net::NodeId a,
   net_->restore_link(a, b);
   rebuild_routing();
   hierarchy_->refresh(*routing_);
-  for (SuspendedQuery& s : suspended_) {
-    s.attempts = 0;
-    s.skip = 0;
-  }
   return reconcile(true);
 }
 
@@ -805,13 +830,7 @@ void Middleware::set_max_resume_attempts(int attempts) {
 std::vector<net::NodeId> Middleware::excluded_hosts() const {
   std::vector<net::NodeId> out;
   for (net::NodeId n = 0; n < net_->node_count(); ++n) {
-    if (host_down(n) ||
-        std::find(overloaded_nodes_.begin(), overloaded_nodes_.end(), n) !=
-            overloaded_nodes_.end() ||
-        std::find(quarantined_nodes_.begin(), quarantined_nodes_.end(), n) !=
-            quarantined_nodes_.end()) {
-      out.push_back(n);
-    }
+    if (excluded(n)) out.push_back(n);
   }
   return out;
 }
@@ -845,35 +864,16 @@ std::vector<Redeployment> Middleware::quarantine_node(net::NodeId n) {
       ++i;
       continue;
     }
-    const opt::OptimizeResult res = replan(a);
-    Redeployment r;
-    r.query = a.q.id;
-    r.planned_cost = a.planned_cost;
-    query::RateModel rates(*catalog_, a.q);
-    r.drifted_cost = query::deployment_cost(a.deployment, rates, *routing_);
-    // deployment_on_excluded subsumes the vacated node (n is quarantined
-    // already) and catches the fallback landing on *another* excluded host.
-    if (res.feasible && std::isfinite(res.actual_cost) &&
-        !deployment_on_excluded(res.deployment)) {
-      r.adapted_cost = res.actual_cost;
-      r.outcome = Outcome::kMigrated;
-      ledger_remove(a);
-      const query::Deployment before = std::move(a.deployment);
-      a.deployment = res.deployment;
-      a.planned_cost = res.actual_cost;
-      on_migrated(a, before);
-      mark_dirty_overlap(a.q);
-      out.push_back(r);
+    const double drifted = current_cost(a);
+    opt::OptimizeResult res = replan(a);
+    // The acceptance rule's excluded-host check subsumes the vacated node
+    // (n is quarantined already) and catches the fallback landing on
+    // *another* excluded host.
+    if (acceptable(res)) {
+      out.push_back(adopt(a, std::move(res), drifted));
       ++i;
     } else {
-      r.adapted_cost = kInf;
-      r.outcome = Outcome::kSuspended;
-      out.push_back(r);
-      ledger_remove(a);
-      registry_.remove_origin(a.q.id);
-      suspended_.push_back(SuspendedQuery{std::move(a.q), a.planned_cost,
-                                          max_resume_attempts_});
-      active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(i));
+      out.push_back(suspend(i, drifted, max_resume_attempts_));
     }
   }
   // Migrations can strand derived units of queries that reused the moved
@@ -889,14 +889,10 @@ std::vector<Redeployment> Middleware::release_quarantine(net::NodeId n) {
       std::find(quarantined_nodes_.begin(), quarantined_nodes_.end(), n);
   if (it == quarantined_nodes_.end()) return out;  // not quarantined
   quarantined_nodes_.erase(it);
-  // The node is placeable again: reset attempt budgets (the world improved,
-  // same as a restore) and retry whatever is parked. Actives drift back
-  // through the normal adapt()/settle() machinery when beneficial.
-  for (SuspendedQuery& s : suspended_) {
-    s.attempts = 0;
-    s.skip = 0;
-  }
-  resume_pass(out);
+  // The node is placeable again: retry whatever is parked with fresh
+  // budgets, same as a restore. Actives drift back through the normal
+  // adapt()/settle() machinery when beneficial.
+  retry_suspended(out);
   debug_check_warm_state();
   return out;
 }
@@ -946,20 +942,9 @@ std::vector<Middleware::ActiveView> Middleware::active_views() const {
   return out;
 }
 
-void Middleware::set_node_capacity(double max_input_bytes_per_s) {
-  IFLOW_CHECK(max_input_bytes_per_s >= 0.0);
-  node_capacity_ = max_input_bytes_per_s;
-  // One knob: the admission controller prices against the same budget the
-  // rebalancer sheds against.
-  AdmissionConfig cfg = admission_.config();
-  cfg.node_capacity = max_input_bytes_per_s;
-  admission_.set_config(cfg);
-}
-
 void Middleware::set_admission_config(const AdmissionConfig& cfg) {
   IFLOW_CHECK(cfg.node_capacity >= 0.0);
   admission_.set_config(cfg);
-  node_capacity_ = cfg.node_capacity;
 }
 
 void Middleware::set_tenant_quota(std::uint32_t tenant,
@@ -968,50 +953,14 @@ void Middleware::set_tenant_quota(std::uint32_t tenant,
 }
 
 std::vector<double> Middleware::node_loads() const {
-#ifndef NDEBUG
-  // The incremental ledger must agree with a from-scratch recompute.
-  const std::vector<double> scratch = node_loads_recomputed();
-  const std::vector<double>& inc = ledger_.node_load();
-  IFLOW_CHECK(inc.size() == scratch.size());
-  for (std::size_t n = 0; n < inc.size(); ++n) {
-    const double tol = 1e-6 * (1.0 + std::abs(scratch[n]));
-    IFLOW_CHECK_MSG(std::abs(inc[n] - scratch[n]) <= tol,
-                    "incremental load drifted on node " << n << ": "
-                    << inc[n] << " vs " << scratch[n]);
-  }
-#endif
+  debug_check_ledger();
   return ledger_.node_load();
-}
-
-std::vector<double> Middleware::node_loads_recomputed() const {
-  std::vector<double> load(net_->node_count(), 0.0);
-  for (const Active& a : active_) {
-    const query::Deployment& d = a.deployment;
-    // Deployed operators keep carrying the current stream volumes (the
-    // data conditions may have moved since deployment, see
-    // set_stream_rate), so monitored load re-prices every input edge
-    // against the live RateModel rather than the plan-time snapshot
-    // recorded in the deployment. A rate spike therefore shows up as
-    // overload immediately, before any replan refreshes the records.
-    const query::RateModel rates(*catalog_, a.q);
-    for (const query::DeployedOp& op : d.ops) {
-      for (int child : {op.left, op.right}) {
-        const query::Mask m =
-            query::child_is_unit(child)
-                ? d.units[static_cast<std::size_t>(
-                              query::child_unit_index(child))]
-                      .mask
-                : d.ops[static_cast<std::size_t>(child)].mask;
-        load[op.node] += rates.bytes_rate(m);
-      }
-    }
-  }
-  return load;
 }
 
 std::vector<Redeployment> Middleware::rebalance_load() {
   std::vector<Redeployment> redeployed;
-  if (node_capacity_ <= 0.0) return redeployed;
+  const double capacity = admission_.config().node_capacity;
+  if (capacity <= 0.0) return redeployed;
   // Worst case every node needs a shed round AND a later anchored-suspend
   // round (a shed node is only suspendable one round after it was shed, and
   // with every node excluded replans fall back to unrestricted placement,
@@ -1022,7 +971,7 @@ std::vector<Redeployment> Middleware::rebalance_load() {
     const std::vector<double> load = node_loads();
     net::NodeId worst = net::kInvalidNode;
     for (net::NodeId n = 0; n < net_->node_count(); ++n) {
-      if (load[n] > node_capacity_ &&
+      if (load[n] > capacity &&
           (worst == net::kInvalidNode || load[n] > load[worst])) {
         worst = n;
       }
@@ -1051,20 +1000,8 @@ std::vector<Redeployment> Middleware::rebalance_load() {
           ++i;
           continue;
         }
-        Redeployment r;
-        r.query = a.q.id;
-        r.planned_cost = a.planned_cost;
-        query::RateModel rates(*catalog_, a.q);
-        r.drifted_cost =
-            query::deployment_cost(a.deployment, rates, *routing_);
-        r.adapted_cost = kInf;
-        r.outcome = Outcome::kSuspended;
-        redeployed.push_back(r);
-        ledger_remove(a);
-        registry_.remove_origin(a.q.id);
-        suspended_.push_back(SuspendedQuery{std::move(a.q), a.planned_cost,
-                                            max_resume_attempts_});
-        active_.erase(active_.begin() + static_cast<std::ptrdiff_t>(i));
+        redeployed.push_back(
+            suspend(i, current_cost(a), max_resume_attempts_));
         suspended_any = true;
       }
       if (!suspended_any) {
@@ -1079,21 +1016,13 @@ std::vector<Redeployment> Middleware::rebalance_load() {
         hosted |= (op.node == worst);
       }
       if (!hosted) continue;
-      const opt::OptimizeResult res = replan(a);
+      opt::OptimizeResult res = replan(a);
+      // Not the acceptance rule: with every candidate shed, the fallback
+      // placement onto an already-shed host is what lets the next round
+      // see the stuck load and suspend its anchored queries.
       if (!res.feasible) continue;  // nowhere better to move right now
-      Redeployment r;
-      r.query = a.q.id;
-      r.planned_cost = a.planned_cost;
-      query::RateModel rates(*catalog_, a.q);
-      r.drifted_cost = query::deployment_cost(a.deployment, rates, *routing_);
-      r.adapted_cost = res.actual_cost;
-      ledger_remove(a);
-      const query::Deployment before = std::move(a.deployment);
-      a.deployment = res.deployment;
-      a.planned_cost = res.actual_cost;
-      on_migrated(a, before);
-      mark_dirty_overlap(a.q);
-      redeployed.push_back(r);
+      const double drifted = current_cost(a);
+      redeployed.push_back(adopt(a, std::move(res), drifted));
     }
   }
   // Migrations (and overload suspensions) can strand derived units of
@@ -1116,27 +1045,14 @@ std::vector<Redeployment> Middleware::reoptimize(int max_rounds) {
   for (int round = 0; round < max_rounds; ++round) {
     bool moved = false;
     for (Active& a : active_) {
-      query::RateModel rates(*catalog_, a.q);
-      const double current =
-          query::deployment_cost(a.deployment, rates, *routing_);
-      const opt::OptimizeResult res = replan(a);
-      if (!res.feasible || !std::isfinite(res.actual_cost)) continue;
+      const double current = current_cost(a);
+      opt::OptimizeResult res = replan(a);
+      if (!acceptable(res)) continue;
       // Strict relative improvement only, so the pass terminates instead
       // of shuffling between cost-equal placements.
       if (res.actual_cost >= current * (1.0 - 1e-9)) continue;
-      Redeployment r;
-      r.query = a.q.id;
-      r.planned_cost = a.planned_cost;
-      r.drifted_cost = current;
-      r.adapted_cost = res.actual_cost;
-      r.outcome = Outcome::kMigrated;
-      ledger_remove(a);
-      const query::Deployment before = std::move(a.deployment);
-      a.deployment = res.deployment;
-      a.planned_cost = res.actual_cost;
       // The next replans must see the moved operators (warm swap).
-      on_migrated(a, before);
-      redeployed.push_back(r);
+      redeployed.push_back(adopt(a, std::move(res), current));
       moved = true;
     }
     if (!moved) break;
@@ -1159,9 +1075,8 @@ std::vector<Redeployment> Middleware::reoptimize(int max_rounds) {
   std::vector<double> cand_cost(active_.size(), kInf);
   bool cand_feasible = true;
   for (std::size_t i : order) {
-    auto optimizer = make_optimizer();
-    opt::OptimizeResult res = optimizer->optimize(active_[i].q);
-    if (!res.feasible || !std::isfinite(res.actual_cost)) {
+    opt::OptimizeResult res = make_optimizer()->optimize(active_[i].q);
+    if (!acceptable(res)) {
       cand_feasible = false;
       break;
     }
@@ -1180,11 +1095,10 @@ std::vector<Redeployment> Middleware::reoptimize(int max_rounds) {
     if (cand_total < total_current_cost() * (1.0 - 1e-9)) {
       for (std::size_t i = 0; i < active_.size(); ++i) {
         Active& a = active_[i];
-        query::RateModel rates(*catalog_, a.q);
         Redeployment r;
         r.query = a.q.id;
         r.planned_cost = a.planned_cost;
-        r.drifted_cost = query::deployment_cost(a.deployment, rates, *routing_);
+        r.drifted_cost = current_cost(a);
         r.adapted_cost = cand_cost[i];
         r.outcome = Outcome::kMigrated;
         ledger_remove(a);
@@ -1228,27 +1142,13 @@ std::vector<Redeployment> Middleware::settle(int max_rounds) {
                        [&](const Active& a) { return a.q.id == id; });
       if (it == active_.end()) continue;  // left the system meanwhile
       Active& a = *it;
-      query::RateModel rates(*catalog_, a.q);
-      const double current =
-          query::deployment_cost(a.deployment, rates, *routing_);
+      const double current = current_cost(a);
       ++settle_stats_.replanned;
-      const opt::OptimizeResult res = replan(a);
-      if (!res.feasible || !std::isfinite(res.actual_cost)) continue;
+      opt::OptimizeResult res = replan(a);
+      if (!acceptable(res)) continue;
       // Same strict-improvement rule as reoptimize()'s per-query rounds.
       if (res.actual_cost >= current * (1.0 - 1e-9)) continue;
-      Redeployment r;
-      r.query = a.q.id;
-      r.planned_cost = a.planned_cost;
-      r.drifted_cost = current;
-      r.adapted_cost = res.actual_cost;
-      r.outcome = Outcome::kMigrated;
-      ledger_remove(a);
-      const query::Deployment before = std::move(a.deployment);
-      a.deployment = res.deployment;
-      a.planned_cost = res.actual_cost;
-      on_migrated(a, before);
-      mark_dirty_overlap(a.q);
-      redeployed.push_back(r);
+      redeployed.push_back(adopt(a, std::move(res), current));
       moved_any = true;
       ++settle_stats_.moved;
     }
@@ -1266,43 +1166,31 @@ std::vector<Redeployment> Middleware::settle(int max_rounds) {
 
 double Middleware::total_current_cost() const {
   double total = 0.0;
-  for (const Active& a : active_) {
-    query::RateModel rates(*catalog_, a.q);
-    total += query::deployment_cost(a.deployment, rates, *routing_);
-  }
+  for (const Active& a : active_) total += current_cost(a);
   return total;
 }
 
 std::vector<Redeployment> Middleware::adapt() {
   std::vector<Redeployment> redeployed;
   for (Active& a : active_) {
-    query::RateModel current_rates(*catalog_, a.q);
-    const double current =
-        query::deployment_cost(a.deployment, current_rates, *routing_);
+    const double current = current_cost(a);
     if (current <= a.planned_cost * drift_threshold_) continue;
 
-    const opt::OptimizeResult res = replan(a);
-    if (!res.feasible || !std::isfinite(res.actual_cost)) continue;
+    opt::OptimizeResult res = replan(a);
+    if (!acceptable(res)) continue;
 
+    // Only migrate when re-optimization actually helps.
+    if (res.actual_cost < current) {
+      redeployed.push_back(adopt(a, std::move(res), current));
+      continue;
+    }
     Redeployment r;
     r.query = a.q.id;
     r.planned_cost = a.planned_cost;
     r.drifted_cost = current;
-    r.adapted_cost = res.actual_cost;
-    // Only migrate when re-optimization actually helps.
-    if (res.actual_cost < current) {
-      r.outcome = Outcome::kMigrated;
-      ledger_remove(a);
-      const query::Deployment before = std::move(a.deployment);
-      a.deployment = res.deployment;
-      a.planned_cost = res.actual_cost;
-      on_migrated(a, before);
-      mark_dirty_overlap(a.q);
-    } else {
-      r.outcome = Outcome::kAccepted;
-      r.adapted_cost = current;
-      a.planned_cost = current;  // accept the new normal
-    }
+    r.adapted_cost = current;
+    r.outcome = Outcome::kAccepted;
+    a.planned_cost = current;  // accept the new normal
     redeployed.push_back(r);
   }
   if (!redeployed.empty()) {

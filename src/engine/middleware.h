@@ -105,16 +105,18 @@ struct StateMigration {
 
 class Middleware {
  public:
+  static constexpr double kDefaultDriftThreshold = 1.2;
+
   /// Takes ownership of nothing: `net` and `catalog` must outlive the
   /// middleware; both are mutated by the condition-change entry points.
   Middleware(net::Network& net, query::Catalog& catalog, int max_cs,
              Algorithm algorithm, std::uint64_t seed,
-             double drift_threshold = 1.2);
+             double drift_threshold = kDefaultDriftThreshold);
 
   /// Optimizes and records a query; reuse is on (advertisements flow).
-  /// When the query's source/sink is currently down — or no feasible plan
-  /// exists — the query is parked in the suspended queue instead and the
-  /// result reports feasible = false. With admission constraints configured
+  /// When the query's source/sink is currently down — or no plan passes
+  /// the acceptance rule — the query is parked in the suspended queue
+  /// instead and the result reports feasible = false. With admission constraints configured
   /// (set_admission_config / set_tenant_quota) the plan is priced first:
   /// over-capacity plans get one degraded replanning attempt around the
   /// saturated hosts, and queries that still do not fit are REJECTED —
@@ -181,14 +183,8 @@ class Middleware {
   /// Brings the (a, b) link back and resumes what can be resumed.
   std::vector<Redeployment> restore_link(net::NodeId a, net::NodeId b);
 
-  /// Per-node processing capacity, expressed as the total operator INPUT
-  /// byte rate a node may host (the paper's §1.1: "node N2 may be
-  /// overloaded"). 0 = unlimited (default). Also the admission
-  /// controller's node budget.
-  void set_node_capacity(double max_input_bytes_per_s);
-
-  /// Full admission policy: node capacity, link utilization cap, fairness.
-  /// Overrides set_node_capacity's budget (they share one knob).
+  /// Admission policy: node capacity, link utilization cap, fairness. The
+  /// node capacity is also the budget rebalance_load() sheds against.
   void set_admission_config(const AdmissionConfig& cfg);
 
   /// Registers a per-tenant quota (query count, byte budget, fairness
@@ -206,7 +202,7 @@ class Middleware {
   /// Debug builds cross-check it against a from-scratch recompute.
   std::vector<double> node_loads() const;
 
-  /// Detects nodes over capacity, excludes them from hosting further
+  /// Detects nodes over the admission node capacity, excludes them from hosting further
   /// operators, and migrates the deployments whose operators sit there.
   /// Iterates until no node is overloaded or nothing can move. Exclusions
   /// are load-shedding only: the node stays in the hierarchy and keeps
@@ -384,18 +380,28 @@ class Middleware {
   /// processing-failed; overload exclusion is hosting-only).
   bool host_down(net::NodeId n) const;
 
+  /// The one host predicate: n may not host operators or derived units
+  /// right now (down, load-shed or quarantined). deployment_on_excluded,
+  /// env()'s candidate set and excluded_hosts() all read it.
+  bool excluded(net::NodeId n) const;
+
   /// Every source stream node and the sink are up.
   bool endpoints_healthy(const query::Query& q) const;
 
   /// No element on a down host and every data edge still routable.
   bool deployment_intact(const Active& a) const;
 
-  /// True when the deployment hosts an op or derived unit on a host the
-  /// planner is supposed to avoid (down, overloaded or quarantined). The
-  /// restricted search's unrestricted fallback can hand such plans back;
-  /// adoption sites must reject them or the validator's excluded-host
-  /// sweep flags the adopted deployment.
+  /// True when the deployment hosts an op or derived unit on an excluded
+  /// host. The restricted search's unrestricted fallback can hand such
+  /// plans back; the acceptance rule rejects them or the validator's
+  /// excluded-host sweep would flag the adopted deployment.
   bool deployment_on_excluded(const query::Deployment& d) const;
+
+  /// The acceptance rule every planner-driven adoption passes first
+  /// (deploy, resume, reconcile, quarantine, adapt, settle, reoptimize):
+  /// feasible, finite cost, and no element on an excluded host.
+  /// rebalance_load() alone adopts any feasible plan — see there.
+  bool acceptable(const opt::OptimizeResult& res) const;
 
   /// Every derived leaf unit still has a live provider among the *other*
   /// actives: an operator (or re-exported non-aggregated result) with the
@@ -427,10 +433,27 @@ class Middleware {
   void ledger_add(Active& a);
   /// Retracts a's recorded footprint from the ledger.
   void ledger_remove(Active& a);
-  /// Swaps a's registry advertisements and ledger footprint after its
-  /// deployment changed (migration), and records the placement diff against
-  /// `before` as a warm StateMigration.
-  void on_migrated(Active& a, const query::Deployment& before);
+  /// a's deployment cost under current rates and routes.
+  double current_cost(const Active& a) const;
+
+  // The three state changes of an active query. Every entry point routes
+  // through them, so the ledger, the warm registry, the migration feed and
+  // the dirty set move together.
+
+  /// Migrates a onto `res`: ledger retraction, deployment and planned-cost
+  /// swap, registry advertisement swap, ledger re-pricing, a warm
+  /// StateMigration, and a dirty mark on the reuse neighborhood. Returns
+  /// the kMigrated record (drifted cost as given).
+  Redeployment adopt(Active& a, opt::OptimizeResult res, double drifted_cost);
+  /// Parks active_[i] in the suspended queue with `attempts` resume
+  /// attempts already spent (the max = wait for the next restore): ledger
+  /// retraction, registry eviction, erase. Returns the kSuspended record.
+  Redeployment suspend(std::size_t i, double drifted_cost, int attempts);
+  /// Makes q active on `res`: advertise, price into the ledger, dirty the
+  /// reuse neighborhood. A resumed query also gets a cold StateMigration
+  /// (its state died with the suspension); a fresh deploy records none.
+  void activate(query::Query q, const opt::OptimizeResult& res, bool resumed);
+
   /// Appends the placement diff of one adopted replan to the migration
   /// feed.
   void record_migration(query::QueryId q, const query::Deployment& before,
@@ -440,17 +463,21 @@ class Middleware {
   /// unregistration can improve or degrade.
   void mark_dirty_overlap(const query::Query& q);
   void mark_dirty(query::QueryId id);
-  /// Debug-only consistency checks: warm registry vs full rebuild and
-  /// ledger node loads vs from-scratch recompute.
+  /// Debug-only consistency checks: warm registry vs full rebuild, plus
+  /// debug_check_ledger().
   void debug_check_warm_state() const;
-  std::vector<double> node_loads_recomputed() const;
+  /// Debug-only: ledger node loads vs a from-scratch recompute.
+  void debug_check_ledger() const;
 
-  /// Post-fault sweep: migrates or suspends broken actives, refreshes the
-  /// registry, and (on recovery paths) retries the suspended queue.
-  std::vector<Redeployment> reconcile(bool try_resume);
+  /// Post-fault sweep: migrates or suspends broken actives and, after a
+  /// recovery (restore_*), retries the suspended queue with fresh budgets.
+  std::vector<Redeployment> reconcile(bool recovered);
 
   /// Retries suspended queries with remaining attempt budget.
   void resume_pass(std::vector<Redeployment>& out);
+  /// Resets every suspended query's attempt budget and backoff (the world
+  /// improved), then runs resume_pass.
+  void retry_suspended(std::vector<Redeployment>& out);
 
   net::Network* net_;
   query::Catalog* catalog_;
@@ -476,7 +503,6 @@ class Middleware {
   /// Health-plane pricing penalty (empty = none); env() hands a pointer to
   /// this vector to every planning environment.
   std::vector<double> health_penalty_;
-  double node_capacity_ = 0.0;                 // 0 = unlimited
   int max_resume_attempts_ = 3;
   /// Seeded jitter for the suspended-resume exponential backoff, so a
   /// cluster-wide restore staggers the retry stampede deterministically.

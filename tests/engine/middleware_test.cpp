@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <numeric>
+#include <string>
 
 #include "net/gtitm.h"
 #include "workload/generator.h"
@@ -14,12 +17,12 @@ struct World {
   net::Network net;
   workload::Workload wl;
 
-  explicit World(std::uint64_t seed, int queries = 4) {
+  explicit World(std::uint64_t seed, int queries = 4, int stub_size = 4) {
     Prng prng(seed);
     net::TransitStubParams p;
     p.transit_count = 2;
     p.stub_domains_per_transit = 2;
-    p.stub_domain_size = 4;
+    p.stub_domain_size = stub_size;
     net = net::make_transit_stub(p, prng);
     workload::WorkloadParams wp;
     wp.num_streams = 6;
@@ -165,6 +168,140 @@ TEST(MiddlewareTest, DeployActivesReportsMissingProviderAndLeavesSimUntouched) {
   EXPECT_TRUE(sim.operator_stats().empty());
   sim.run();
   EXPECT_EQ(sim.tuples_emitted(), 0u);
+}
+
+/// excluded_hosts() and the planning candidate set split the nodes in two;
+/// with nothing excluded the candidate set is empty (every node may host).
+void expect_hosts_partitioned(Middleware& mw) {
+  const std::vector<net::NodeId> excluded = mw.excluded_hosts();
+  const std::vector<net::NodeId> hosts = mw.planning_env().processing_nodes;
+  if (excluded.empty()) {
+    EXPECT_TRUE(hosts.empty());
+    return;
+  }
+  std::vector<net::NodeId> both = excluded;
+  both.insert(both.end(), hosts.begin(), hosts.end());
+  std::sort(both.begin(), both.end());
+  std::vector<net::NodeId> all(mw.network().node_count());
+  std::iota(all.begin(), all.end(), net::NodeId{0});
+  EXPECT_EQ(both, all);
+}
+
+/// Checks the migration feed one call left against the redeployments it
+/// returned: one entry per kMigrated/kResumed record, in the same order,
+/// warm exactly for migrations (a resumed query restarts cold). Clears the
+/// feed and returns its length.
+std::size_t check_feed(Middleware& mw, const std::vector<Redeployment>& reds,
+                       const std::string& site) {
+  std::vector<const Redeployment*> replanned;
+  for (const Redeployment& r : reds) {
+    if (r.outcome == Outcome::kMigrated || r.outcome == Outcome::kResumed) {
+      replanned.push_back(&r);
+    }
+  }
+  const std::vector<StateMigration> feed = mw.state_migrations();
+  mw.clear_state_migrations();
+  EXPECT_EQ(feed.size(), replanned.size()) << site;
+  for (std::size_t i = 0; i < feed.size() && i < replanned.size(); ++i) {
+    EXPECT_EQ(feed[i].query, replanned[i]->query) << site;
+    EXPECT_EQ(feed[i].warm, replanned[i]->outcome == Outcome::kMigrated)
+        << site;
+  }
+  expect_hosts_partitioned(mw);
+  return feed.size();
+}
+
+/// The node hosting the most operators among nodes that are no stream
+/// source and no sink (kInvalidNode when there is none).
+net::NodeId relay_host(const Middleware& mw, const World& w) {
+  std::vector<int> ops_at(w.net.node_count(), 0);
+  for (const query::Deployment* d : mw.deployments()) {
+    for (const query::DeployedOp& op : d->ops) ops_at[op.node]++;
+  }
+  for (query::StreamId s = 0; s < w.wl.catalog.stream_count(); ++s) {
+    ops_at[w.wl.catalog.stream(s).source] = -1;
+  }
+  for (const query::Query& q : w.wl.queries) ops_at[q.sink] = -1;
+  const auto it = std::max_element(ops_at.begin(), ops_at.end());
+  return *it > 0 ? static_cast<net::NodeId>(it - ops_at.begin())
+                 : net::kInvalidNode;
+}
+
+// Every adoption site feeds the state-migration stream (check_feed). Each
+// site must feed at least one entry across the runs, so none of them is
+// checked vacuously.
+TEST(MiddlewareTest, EveryAdoptionSiteFeedsTheMigrationStream) {
+  std::map<std::string, std::size_t> fed;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    World w(seed, /*queries=*/6, /*stub_size=*/10);
+    Middleware mw(w.net, w.wl.catalog, 4, Algorithm::kTopDown, 99,
+                  /*drift_threshold=*/1.05);
+    for (const query::Query& q : w.wl.queries) mw.deploy(q);
+    EXPECT_TRUE(mw.state_migrations().empty()) << "deploy records none";
+    const auto step = [&](const std::string& site,
+                          const std::vector<Redeployment>& reds) {
+      fed[site] += check_feed(mw, reds, site + " seed " +
+                                            std::to_string(seed));
+    };
+
+    const net::NodeId relay = relay_host(mw, w);
+    if (relay == net::kInvalidNode) continue;  // every op on an endpoint
+    step("fail_node", mw.fail_node(relay));
+    step("restore_node", mw.restore_node(relay));
+    // A failed stream source suspends its queries; the restore resumes them.
+    const net::NodeId source = w.wl.catalog.stream(0).source;
+    step("fail_node", mw.fail_node(source));
+    step("restore_node", mw.restore_node(source));
+    step("quarantine_node", mw.quarantine_node(relay));
+    step("release_quarantine", mw.release_quarantine(relay));
+
+    mw.set_stream_rate(1, w.wl.catalog.stream(1).tuple_rate * 8.0);
+    step("settle", mw.settle());
+    mw.set_stream_rate(2, w.wl.catalog.stream(2).tuple_rate * 8.0);
+    step("adapt", mw.adapt());
+    step("reoptimize", mw.reoptimize());
+
+    const std::vector<double> loads = mw.node_loads();
+    AdmissionConfig cfg;
+    cfg.node_capacity = *std::max_element(loads.begin(), loads.end()) * 0.5;
+    mw.set_admission_config(cfg);
+    step("rebalance_load", mw.rebalance_load());
+  }
+
+  // Two nodes, one query anchored on both: quarantining the node its join
+  // runs on migrates it to the other; quarantining that one too leaves no
+  // host, so it is suspended; releasing either resumes it cold.
+  net::Network net;
+  net.add_node();
+  net.add_node();
+  net.add_link(0, 1, 1.0, 1.0, 1e6);
+  query::Catalog catalog;
+  const query::StreamId a = catalog.add_stream("A", 0, 50.0, 100.0);
+  const query::StreamId b = catalog.add_stream("B", 1, 80.0, 100.0);
+  catalog.set_selectivity(a, b, 0.01);
+  query::Query q;
+  q.id = 1;
+  q.sources = {a, b};
+  q.sink = 0;
+  Middleware mw(net, catalog, 4, Algorithm::kTopDown, 99);
+  ASSERT_TRUE(mw.deploy(q).feasible);
+  const net::NodeId first = mw.deployments()[0]->ops[0].node;
+  const net::NodeId second = 1 - first;
+  fed["quarantine_node"] += check_feed(mw, mw.quarantine_node(first), "q1");
+  ASSERT_EQ(mw.active_queries(), 1u);
+  EXPECT_EQ(mw.deployments()[0]->ops[0].node, second);
+  EXPECT_EQ(check_feed(mw, mw.quarantine_node(second), "q2"), 0u);
+  EXPECT_EQ(mw.suspended_queries(), 1u);
+  const std::size_t resumed =
+      check_feed(mw, mw.release_quarantine(first), "release");
+  EXPECT_EQ(resumed, 1u);
+  fed["release_quarantine"] += resumed;
+
+  for (const char* site :
+       {"fail_node", "restore_node", "quarantine_node", "release_quarantine",
+        "settle", "adapt", "reoptimize", "rebalance_load"}) {
+    EXPECT_GT(fed[site], 0u) << site;
+  }
 }
 
 }  // namespace
